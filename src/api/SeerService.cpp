@@ -36,6 +36,18 @@ void backoffSleep(double Ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(Ms));
 }
 
+/// The server-call options of \p R; the operand pointer borrows from R.
+ServeOptions optionsFor(const Request &R,
+                        std::chrono::steady_clock::time_point Deadline) {
+  ServeOptions Options;
+  Options.Iterations = R.Iterations;
+  Options.Execute = R.Execute;
+  Options.VerifyOracle = R.VerifyOracle;
+  Options.Operand = R.Operand.empty() ? nullptr : &R.Operand;
+  Options.Deadline = Deadline;
+  return Options;
+}
+
 } // namespace
 
 SeerService::~SeerService() { drain(); }
@@ -156,13 +168,21 @@ Expected<ServeResponse> SeerService::serve(const Request &R) {
   auto Reg = resolve(R.Handle, R);
   if (!Reg)
     return Reg.status();
-  ServeOptions Options;
-  Options.Iterations = R.Iterations;
-  Options.Execute = R.Execute;
-  Options.VerifyOracle = R.VerifyOracle;
-  Options.Operand = R.Operand.empty() ? nullptr : &R.Operand;
-  Options.Deadline = deadlineFor(R.DeadlineMs);
-  return serveWithRetry((*Reg)->R, Options);
+  return serveWithRetry((*Reg)->R, optionsFor(R, deadlineFor(R.DeadlineMs)));
+}
+
+Expected<ServeResponse> SeerService::serveAdmitted(const Request &R) {
+  auto Reg = resolve(R.Handle, R);
+  if (!Reg)
+    return Reg.status();
+  const auto Deadline = deadlineFor(R.DeadlineMs);
+  if (Status Admission = admit(Deadline); !Admission.ok())
+    return Admission;
+  Expected<ServeResponse> Result =
+      serveWithRetry((*Reg)->R, optionsFor(R, Deadline));
+  Reg->reset(); // return the pin before signaling idle
+  finishAdmitted();
+  return Result;
 }
 
 Expected<ServeResponse> SeerService::select(MatrixHandle Handle,
@@ -216,21 +236,13 @@ Status SeerService::tryAdmit() {
   MutexLock Lock(AsyncMutex);
   if (InFlight >= AsyncCapacity)
     return Status::resourceExhausted(
-        "async queue full (" + std::to_string(AsyncCapacity) +
-        " submissions in flight); back off and resubmit");
+        "admission queue full (" + std::to_string(AsyncCapacity) +
+        " requests in flight); back off and resubmit");
   ++InFlight;
   return Status::okStatus();
 }
 
-Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
-  auto Reg = resolve(R.Handle, R);
-  if (!Reg)
-    return Reg.status();
-
-  // The deadline clock starts at submission: time spent fighting for
-  // admission and waiting in the queue is time the caller is waiting.
-  const auto Deadline = deadlineFor(R.DeadlineMs);
-
+Status SeerService::admit(std::chrono::steady_clock::time_point Deadline) {
   Status Admission = tryAdmit();
   for (uint32_t Attempt = 1; !Admission.ok() && Admission.isRetryable() &&
                              Attempt < Retry.MaxAttempts;
@@ -253,6 +265,25 @@ Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
     return Admission;
   }
   AsyncAccepted.add();
+  return Status::okStatus();
+}
+
+void SeerService::finishAdmitted() {
+  MutexLock Lock(AsyncMutex);
+  if (--InFlight == 0)
+    AsyncIdle.notify_all();
+}
+
+Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
+  auto Reg = resolve(R.Handle, R);
+  if (!Reg)
+    return Reg.status();
+
+  // The deadline clock starts at submission: time spent fighting for
+  // admission and waiting in the queue is time the caller is waiting.
+  const auto Deadline = deadlineFor(R.DeadlineMs);
+  if (Status Admission = admit(Deadline); !Admission.ok())
+    return Admission;
 
   // The task owns everything it needs: the registration (so a release()
   // between admission and execution is harmless) and the request with
@@ -277,17 +308,9 @@ Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
                                           WaitNs,
                                           SpanRecorder::currentRequestId());
         }
-        ServeOptions Options;
-        Options.Iterations = R.Iterations;
-        Options.Execute = R.Execute;
-        Options.VerifyOracle = R.VerifyOracle;
-        Options.Operand = R.Operand.empty() ? nullptr : &R.Operand;
-        Options.Deadline = Deadline;
-        Promise->set_value(serveWithRetry(Reg->R, Options));
+        Promise->set_value(serveWithRetry(Reg->R, optionsFor(R, Deadline)));
         Reg.reset(); // return the pin before signaling idle
-        MutexLock Lock(AsyncMutex);
-        if (--InFlight == 0)
-          AsyncIdle.notify_all();
+        finishAdmitted();
       });
   return Future;
 }

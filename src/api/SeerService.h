@@ -22,6 +22,8 @@
 ///      asynchronous path over a bounded admission queue on the
 ///      process-wide ThreadPool; a full queue rejects the submission
 ///      with RESOURCE_EXHAUSTED (backpressure), never blocks.
+///      `serveAdmitted(Request)` is the synchronous request under that
+///      same admission control — the wire server's entry point.
 ///   3. `release(MatrixHandle)` — ends the handle's lifetime. Requests
 ///      already admitted keep their registration alive (shared
 ///      ownership), so release() is always safe to call; *new* requests
@@ -46,6 +48,7 @@
 #include "serve/SeerServer.h"
 #include "support/ThreadAnnotations.h"
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -89,8 +92,9 @@ struct ServiceConfig {
   /// The wrapped server's configuration (device, cache shards, budget,
   /// circuit breakers).
   ServerConfig Server;
-  /// Maximum async submissions in flight (admitted but not yet finished)
-  /// before submit() applies backpressure with RESOURCE_EXHAUSTED.
+  /// Maximum admitted requests in flight (submit() and serveAdmitted()
+  /// together, admitted but not yet finished) before admission applies
+  /// backpressure with RESOURCE_EXHAUSTED.
   size_t AsyncQueueCapacity = 256;
   /// Retry policy for transient failures (see RetryPolicy).
   RetryPolicy Retry;
@@ -203,7 +207,16 @@ public:
   /// not the service itself.
   Expected<std::future<Expected<ServeResponse>>> submit(Request R);
 
-  /// Blocks until every admitted async submission has completed.
+  /// Serves \p R synchronously on the calling thread under submit()'s
+  /// admission control: the same validation, the same retried admission
+  /// (RESOURCE_EXHAUSTED once spent) and counters, and the request holds
+  /// one in-flight slot until it returns, so drain() waits for it. No
+  /// queue and no thread hand-off — how each wire connection thread
+  /// serves its own frames.
+  Expected<ServeResponse> serveAdmitted(const Request &R);
+
+  /// Blocks until every admitted request (submit() or serveAdmitted())
+  /// has completed.
   void drain();
 
   /// Facts about a live handle (NOT_FOUND after release).
@@ -264,9 +277,19 @@ private:
   Expected<ServeResponse> serveWithRetry(const RegisteredMatrix &Registered,
                                          const ServeOptions &Options);
 
-  /// One async admission attempt: the queue.admit fault site, then the
+  /// One admission attempt: the queue.admit fault site, then the
   /// bounded in-flight check. On OK the in-flight slot is held.
   Status tryAdmit();
+
+  /// Admission shared by submit() and serveAdmitted(): tryAdmit() under
+  /// the RetryPolicy (deterministic backoff, stopping at \p Deadline),
+  /// moving the AsyncAccepted/AsyncRejected and Retries/RetriesExhausted
+  /// counters. On OK the caller holds one in-flight slot and must return
+  /// it with finishAdmitted().
+  Status admit(std::chrono::steady_clock::time_point Deadline);
+
+  /// Returns an in-flight slot, waking drain() on the last one.
+  void finishAdmitted();
 
   /// Declaration order is load-bearing: Handles (and the Registrations
   /// it owns) must be destroyed before Server, whose cache their
@@ -278,8 +301,8 @@ private:
       SEER_GUARDED_BY(HandlesMutex);
   uint64_t NextHandleId SEER_GUARDED_BY(HandlesMutex) = 1;
 
-  /// Async admission accounting. InFlight is guarded by AsyncMutex so
-  /// drain() can wait on it without missed wakeups.
+  /// Admission accounting. InFlight is guarded by AsyncMutex so drain()
+  /// can wait on it without missed wakeups.
   const size_t AsyncCapacity;
   const RetryPolicy Retry;
   mutable seer::Mutex AsyncMutex;

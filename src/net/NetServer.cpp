@@ -12,12 +12,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <system_error>
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace seer;
@@ -30,29 +30,23 @@ namespace {
 /// request count*cols doubles.
 constexpr uint32_t MaxBatchOperands = 4096;
 
+/// How long join() lets replies still in flight flush before it cuts the
+/// connections that remain. Bounds the stop against a peer that stopped
+/// reading while its reply exceeds the socket buffers.
+constexpr std::chrono::seconds DrainGrace{2};
+
 } // namespace
 
 // -- Connection state ------------------------------------------------------
 
-/// One epoll-mode connection. Loop-thread-only except State, which rides
-/// (as a shared_ptr copy) with the frame a worker is executing.
-struct NetServer::EpollConn {
-  Socket Sock;
-  std::shared_ptr<void> State;
-  std::string In;   ///< raw bytes buffered off the socket
-  std::string Out;  ///< encoded frames waiting to flush
-  size_t OutPos = 0;
-  bool Busy = false;           ///< one frame is with a worker
-  bool PeerClosed = false;     ///< read side saw EOF
-  bool CloseAfterFlush = false; ///< fatal protocol error queued a reply
-  bool Dead = false;           ///< destroy when the completion arrives
-};
-
-/// One threads-mode connection: the socket shared between its serving
-/// thread and the accept thread (which calls shutdownBoth on stop).
-struct NetServer::ConnSlot {
+/// One connection: its socket, shared between its serving thread, the
+/// accept thread (which shuts the read side on stop) and join() (which
+/// cuts it after the drain grace), and that thread. Sock is closed and
+/// Thread moved out only under ConnMutex.
+struct NetServer::Conn {
   uint64_t Id = 0;
   Socket Sock;
+  std::thread Thread;
 };
 
 // -- Lifecycle -------------------------------------------------------------
@@ -90,18 +84,8 @@ Expected<std::unique_ptr<NetServer>> NetServer::start(FrameHandler &Handler,
   Server->WakeRead = Fds[0];
   Server->WakeWrite = Fds[1];
 
-  if (Server->Config.Mode == NetServerConfig::ServeMode::Epoll) {
-    if (Status S = Server->Listener.setNonBlocking(true); !S.ok())
-      return S;
-    const size_t WorkerCount = std::max<size_t>(1, Server->Config.Workers);
-    NetServer *Raw = Server.get();
-    for (size_t I = 0; I < WorkerCount; ++I)
-      Raw->Workers.emplace_back([Raw] { Raw->workerLoop(); });
-    Raw->LoopThread = std::thread([Raw] { Raw->epollLoop(); });
-  } else {
-    NetServer *Raw = Server.get();
-    Raw->LoopThread = std::thread([Raw] { Raw->acceptLoop(); });
-  }
+  NetServer *Raw = Server.get();
+  Raw->AcceptThread = std::thread([Raw] { Raw->acceptLoop(); });
   return Server;
 }
 
@@ -131,27 +115,32 @@ void NetServer::wake() {
 }
 
 void NetServer::join() {
-  if (LoopThread.joinable())
-    LoopThread.join();
-  {
-    MutexLock L(WorkMutex);
-    WorkersStop = true;
-  }
-  WorkCv.notify_all();
-  for (std::thread &W : Workers)
-    if (W.joinable())
-      W.join();
+  if (AcceptThread.joinable())
+    AcceptThread.join();
+  // The accept thread is gone, so no connection is added or reaped any
+  // more, and every live one has had its read side shut. Replies in
+  // flight get DrainGrace to flush; the connections still open after it
+  // are cut both ways, because a write to a peer that stopped reading
+  // would otherwise block — and this join with it — forever.
   std::vector<std::thread> ToJoin;
   {
     MutexLock L(ConnMutex);
-    ToJoin.swap(ConnThreads);
+    const auto Deadline = std::chrono::steady_clock::now() + DrainGrace;
+    while (ActiveConns > 0 && ConnEnded.waitUntil(L, Deadline)) {
+    }
+    for (auto &KV : Conns) {
+      KV.second->Sock.shutdownBoth(); // no-op once the thread closed it
+      ToJoin.push_back(std::move(KV.second->Thread));
+    }
+    Conns.clear();
+    Finished.clear();
   }
   for (std::thread &T : ToJoin)
     if (T.joinable())
       T.join();
 }
 
-// -- Shared dispatch -------------------------------------------------------
+// -- Dispatch --------------------------------------------------------------
 
 std::string NetServer::dispatch(const std::shared_ptr<void> &State,
                                 const std::string &Payload) {
@@ -198,330 +187,7 @@ std::string NetServer::dispatch(const std::shared_ptr<void> &State,
   return Reply;
 }
 
-// -- Epoll mode ------------------------------------------------------------
-
-void NetServer::workerLoop() {
-  while (true) {
-    WorkItem Item;
-    {
-      MutexLock L(WorkMutex);
-      while (WorkQueue.empty() && !WorkersStop)
-        WorkCv.wait(L);
-      if (WorkQueue.empty())
-        return; // WorkersStop and nothing left
-      Item = std::move(WorkQueue.front());
-      WorkQueue.pop_front();
-    }
-    std::string Reply = dispatch(Item.State, Item.Payload);
-    {
-      MutexLock L(DoneMutex);
-      DoneQueue.push_back(DoneItem{Item.Fd, std::move(Reply)});
-    }
-    wake();
-  }
-}
-
-void NetServer::epollLoop() {
-  const int Ep = ::epoll_create1(EPOLL_CLOEXEC);
-  if (Ep < 0)
-    return;
-  auto AddRead = [Ep](int Fd) {
-    epoll_event Ev{};
-    Ev.events = EPOLLIN;
-    Ev.data.fd = Fd;
-    (void)::epoll_ctl(Ep, EPOLL_CTL_ADD, Fd, &Ev);
-  };
-  AddRead(Listener.fd());
-  AddRead(WakeRead);
-  bool ListenerOpen = true;
-
-  epoll_event Events[64];
-  while (true) {
-    // Completions first so the stop logic below sees Busy flags that are
-    // current as of the wakeup that got us here.
-    processCompletions(Ep);
-
-    if (StopFlag.load(std::memory_order_acquire)) {
-      if (ListenerOpen) {
-        (void)::epoll_ctl(Ep, EPOLL_CTL_DEL, Listener.fd(), nullptr);
-        Listener.close();
-        ListenerOpen = false;
-      }
-      // Idle connections close now (one best-effort flush); busy ones
-      // close when their in-flight frame completes.
-      std::vector<int> Idle;
-      Idle.reserve(Conns.size());
-      for (const auto &KV : Conns)
-        if (!KV.second->Busy)
-          Idle.push_back(KV.first);
-      for (const int Fd : Idle) {
-        auto It = Conns.find(Fd);
-        if (It != Conns.end()) {
-          (void)flushOut(*It->second);
-          destroyConn(Ep, Fd);
-        }
-      }
-      if (Conns.empty())
-        break;
-    }
-
-    const int N = ::epoll_wait(Ep, Events, 64, -1);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    for (int I = 0; I < N; ++I) {
-      const int Fd = Events[I].data.fd;
-      if (Fd == WakeRead) {
-        char Buf[256];
-        while (::read(WakeRead, Buf, sizeof(Buf)) > 0) {
-        }
-        continue;
-      }
-      if (ListenerOpen && Fd == Listener.fd()) {
-        epollAccept(Ep);
-        continue;
-      }
-      connEvent(Ep, Fd, Events[I].events);
-    }
-  }
-  ::close(Ep);
-
-  // Defensive: the loop only exits with the table empty, but if it ever
-  // broke out early (epoll_wait failure) the close hooks still fire.
-  for (const auto &KV : Conns)
-    Handler.connectionClosed(KV.second->State);
-  Conns.clear();
-  ActiveConns.store(0, std::memory_order_relaxed);
-  OpenConnections.set(0.0);
-}
-
-void NetServer::epollAccept(int Ep) {
-  while (true) {
-    auto AcceptedOr = Listener.accept();
-    if (!AcceptedOr.ok()) {
-      // RESOURCE_EXHAUSTED = EAGAIN, the backlog is drained. Anything
-      // else (an injected net.accept fault dropped the connection, or a
-      // transient kernel error): stop for this readiness event — a
-      // still-pending backlog re-fires level-triggered.
-      return;
-    }
-    if (StopFlag.load(std::memory_order_acquire) ||
-        Conns.size() >= Config.MaxConnections)
-      continue; // RAII-drop the accepted socket
-    Socket Accepted = std::move(*AcceptedOr);
-    if (!Accepted.setNonBlocking(true).ok())
-      continue;
-    const int Fd = Accepted.fd();
-    auto Conn = std::make_unique<EpollConn>();
-    Conn->Sock = std::move(Accepted);
-    Conn->State = Handler.connectionOpened();
-    epoll_event Ev{};
-    Ev.events = EPOLLIN;
-    Ev.data.fd = Fd;
-    if (::epoll_ctl(Ep, EPOLL_CTL_ADD, Fd, &Ev) != 0) {
-      Handler.connectionClosed(Conn->State);
-      continue;
-    }
-    Conns.emplace(Fd, std::move(Conn));
-    ConnectionsTotal.add();
-    OpenConnections.set(
-        double(ActiveConns.fetch_add(1, std::memory_order_relaxed) + 1));
-  }
-}
-
-void NetServer::connEvent(int Ep, int Fd, uint32_t EventMask) {
-  auto It = Conns.find(Fd);
-  if (It == Conns.end())
-    return;
-  EpollConn &Conn = *It->second;
-  if (EventMask & (EPOLLERR | EPOLLHUP)) {
-    retireConn(Ep, Fd);
-    return;
-  }
-  if ((EventMask & EPOLLIN) && !epollReadable(Conn)) {
-    retireConn(Ep, Fd);
-    return;
-  }
-  if ((EventMask & EPOLLOUT) && !flushOut(Conn)) {
-    retireConn(Ep, Fd);
-    return;
-  }
-  settle(Ep, Fd);
-}
-
-bool NetServer::epollReadable(EpollConn &Conn) {
-  // Same chaos hook as the blocking path: a net.read fault tears the
-  // connection as if the transfer failed.
-  if (!FaultInjector::instance().check(faultsite::NetRead).ok())
-    return false;
-  char Buf[65536];
-  while (true) {
-    const ssize_t Read = ::recv(Conn.Sock.fd(), Buf, sizeof(Buf), 0);
-    if (Read > 0) {
-      Conn.In.append(Buf, static_cast<size_t>(Read));
-      continue;
-    }
-    if (Read == 0) {
-      Conn.PeerClosed = true;
-      return true;
-    }
-    if (errno == EINTR)
-      continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return true;
-    return false;
-  }
-}
-
-void NetServer::parseFrames(EpollConn &Conn) {
-  while (!Conn.Busy && !Conn.CloseAfterFlush && !Conn.Dead) {
-    if (Conn.In.size() < 4)
-      return;
-    uint32_t Length = 0;
-    for (int I = 0; I < 4; ++I)
-      Length |= static_cast<uint32_t>(
-                    static_cast<unsigned char>(Conn.In[size_t(I)]))
-                << (8 * I);
-    if (Status S = validateFrameLength(Length, Config.MaxFrameBytes);
-        !S.ok()) {
-      // Framing is gone; tell the client why, then close after flush.
-      ProtocolErrors.add();
-      const std::string Reply = encodeStatusReply(S);
-      BytesWrittenTotal.add(4 + Reply.size());
-      appendFrame(Conn.Out, Reply);
-      Conn.CloseAfterFlush = true;
-      Conn.In.clear();
-      return;
-    }
-    if (Conn.In.size() < size_t(4) + Length)
-      return; // frame incomplete
-    WorkItem Item;
-    Item.Fd = Conn.Sock.fd();
-    Item.State = Conn.State;
-    Item.Payload = Conn.In.substr(4, Length);
-    Conn.In.erase(0, size_t(4) + Length);
-    BytesReadTotal.add(4 + size_t(Length));
-    Conn.Busy = true;
-    {
-      MutexLock L(WorkMutex);
-      WorkQueue.push_back(std::move(Item));
-    }
-    WorkCv.notify_one();
-  }
-}
-
-bool NetServer::flushOut(EpollConn &Conn) {
-  if (Conn.OutPos >= Conn.Out.size())
-    return true;
-  if (!FaultInjector::instance().check(faultsite::NetWrite).ok())
-    return false;
-  while (Conn.OutPos < Conn.Out.size()) {
-    const ssize_t Written =
-        ::send(Conn.Sock.fd(), Conn.Out.data() + Conn.OutPos,
-               Conn.Out.size() - Conn.OutPos, MSG_NOSIGNAL);
-    if (Written < 0) {
-      if (errno == EINTR)
-        continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        return true; // kernel buffer full; EPOLLOUT resumes us
-      return false;
-    }
-    Conn.OutPos += static_cast<size_t>(Written);
-  }
-  Conn.Out.clear();
-  Conn.OutPos = 0;
-  return true;
-}
-
-void NetServer::settle(int Ep, int Fd) {
-  auto It = Conns.find(Fd);
-  if (It == Conns.end())
-    return;
-  EpollConn &Conn = *It->second;
-  if (!Conn.Busy)
-    parseFrames(Conn); // may dispatch a frame or queue an error reply
-  if (Conn.OutPos < Conn.Out.size() && !flushOut(Conn)) {
-    retireConn(Ep, Fd);
-    return;
-  }
-  const bool Flushed = Conn.OutPos >= Conn.Out.size();
-  // After parseFrames, !Busy means no complete frame is buffered — so a
-  // closed peer leaves nothing to do (any leftover bytes are a torn
-  // frame) and a fatal protocol error has had its reply flushed.
-  if (!Conn.Busy && Flushed &&
-      (Conn.CloseAfterFlush || Conn.Dead || Conn.PeerClosed)) {
-    destroyConn(Ep, Fd);
-    return;
-  }
-  updateInterest(Ep, Conn);
-}
-
-void NetServer::retireConn(int Ep, int Fd) {
-  auto It = Conns.find(Fd);
-  if (It == Conns.end())
-    return;
-  if (It->second->Busy) {
-    // A worker still owns this connection's frame; destroying now would
-    // dangle its completion. Park the connection until it lands.
-    It->second->Dead = true;
-    updateInterest(Ep, *It->second);
-    return;
-  }
-  destroyConn(Ep, Fd);
-}
-
-void NetServer::updateInterest(int Ep, EpollConn &Conn) {
-  uint32_t Want = 0;
-  if (!Conn.Busy && !Conn.CloseAfterFlush && !Conn.Dead && !Conn.PeerClosed)
-    Want |= EPOLLIN;
-  if (Conn.OutPos < Conn.Out.size())
-    Want |= EPOLLOUT;
-  epoll_event Ev{};
-  Ev.events = Want;
-  Ev.data.fd = Conn.Sock.fd();
-  (void)::epoll_ctl(Ep, EPOLL_CTL_MOD, Conn.Sock.fd(), &Ev);
-}
-
-void NetServer::destroyConn(int Ep, int Fd) {
-  auto It = Conns.find(Fd);
-  if (It == Conns.end())
-    return;
-  (void)::epoll_ctl(Ep, EPOLL_CTL_DEL, Fd, nullptr);
-  Handler.connectionClosed(It->second->State);
-  Conns.erase(It);
-  OpenConnections.set(
-      double(ActiveConns.fetch_sub(1, std::memory_order_relaxed) - 1));
-}
-
-void NetServer::processCompletions(int Ep) {
-  std::deque<DoneItem> Local;
-  {
-    MutexLock L(DoneMutex);
-    Local.swap(DoneQueue);
-  }
-  for (DoneItem &Done : Local) {
-    auto It = Conns.find(Done.Fd);
-    if (It == Conns.end())
-      continue;
-    EpollConn &Conn = *It->second;
-    Conn.Busy = false;
-    if (Conn.Dead) {
-      destroyConn(Ep, Done.Fd);
-      continue;
-    }
-    BytesWrittenTotal.add(4 + Done.Reply.size());
-    appendFrame(Conn.Out, Done.Reply);
-    if (!flushOut(Conn)) {
-      destroyConn(Ep, Done.Fd);
-      continue;
-    }
-    settle(Ep, Done.Fd);
-  }
-}
-
-// -- Threads mode ----------------------------------------------------------
+// -- Connections -----------------------------------------------------------
 
 void NetServer::acceptLoop() {
   while (!StopFlag.load(std::memory_order_acquire)) {
@@ -537,6 +203,7 @@ void NetServer::acceptLoop() {
       while (::read(WakeRead, Buf, sizeof(Buf)) > 0) {
       }
     }
+    reapFinished();
     if (StopFlag.load(std::memory_order_acquire))
       break;
     if ((Polled[0].revents & POLLIN) == 0)
@@ -544,41 +211,59 @@ void NetServer::acceptLoop() {
     auto AcceptedOr = Listener.accept();
     if (!AcceptedOr.ok())
       continue; // injected net.accept fault or transient error
-    if (ActiveConns.load(std::memory_order_relaxed) >= Config.MaxConnections)
+    auto C = std::make_shared<Conn>();
+    C->Sock = std::move(*AcceptedOr);
+    // Under the lock, the new thread cannot finish before it is listed.
+    MutexLock L(ConnMutex);
+    if (ActiveConns >= Config.MaxConnections)
       continue; // RAII-drop the accepted socket
-    auto Slot = std::make_shared<ConnSlot>();
-    Slot->Sock = std::move(*AcceptedOr);
-    ConnectionsTotal.add();
-    OpenConnections.set(
-        double(ActiveConns.fetch_add(1, std::memory_order_relaxed) + 1));
-    {
-      MutexLock L(ConnMutex);
-      Slot->Id = NextConnId++;
-      Slots.emplace(Slot->Id, Slot);
-      ConnThreads.emplace_back(
-          [this, Slot] { connectionLoop(std::move(Slot)); });
+    try {
+      C->Thread = std::thread([this, C] { connectionLoop(*C); });
+    } catch (const std::system_error &) {
+      continue; // no thread to serve it: RAII-drop the connection
     }
+    C->Id = NextConnId++;
+    Conns.emplace(C->Id, C);
+    ConnectionsTotal.add();
+    OpenConnections.set(double(++ActiveConns));
   }
-  // Interrupt every blocked per-connection read; the threads observe EOF
-  // (or the stop flag) and unwind through connectionClosed.
+  Listener.close();
+  // Wake every connection blocked between frames with EOF. Only the read
+  // side: a reply still being written (the Shutdown op's ack included)
+  // must flush, so in-flight frames are answered.
   MutexLock L(ConnMutex);
-  for (const auto &KV : Slots)
-    KV.second->Sock.shutdownBoth();
+  for (const auto &KV : Conns)
+    KV.second->Sock.shutdownRead();
 }
 
-void NetServer::connectionLoop(std::shared_ptr<ConnSlot> Slot) {
+void NetServer::reapFinished() {
+  std::vector<std::thread> Done;
+  {
+    MutexLock L(ConnMutex);
+    for (const uint64_t Id : Finished) {
+      const auto It = Conns.find(Id);
+      Done.push_back(std::move(It->second->Thread));
+      Conns.erase(It);
+    }
+    Finished.clear();
+  }
+  for (std::thread &T : Done)
+    T.join();
+}
+
+void NetServer::connectionLoop(Conn &C) {
   std::shared_ptr<void> State = Handler.connectionOpened();
   std::string Payload;
   while (!StopFlag.load(std::memory_order_acquire)) {
     bool CleanClose = false;
     const Status S =
-        readFrame(Slot->Sock, Config.MaxFrameBytes, Payload, &CleanClose);
+        readFrame(C.Sock, Config.MaxFrameBytes, Payload, &CleanClose);
     if (!S.ok()) {
       if (S.code() == StatusCode::InvalidArgument) {
         // A bad length prefix (or injected net.frame fault): framing is
         // unrecoverable — answer with the typed error, then hang up.
         ProtocolErrors.add();
-        (void)writeFrame(Slot->Sock, encodeStatusReply(S));
+        (void)writeFrame(C.Sock, encodeStatusReply(S));
       }
       break; // UNAVAILABLE = torn connection; nothing to answer
     }
@@ -587,23 +272,24 @@ void NetServer::connectionLoop(std::shared_ptr<ConnSlot> Slot) {
     BytesReadTotal.add(4 + Payload.size());
     const std::string Reply = dispatch(State, Payload);
     BytesWrittenTotal.add(4 + Reply.size());
-    if (!writeFrame(Slot->Sock, Reply).ok())
+    if (!writeFrame(C.Sock, Reply).ok())
       break;
   }
   Handler.connectionClosed(State);
   {
     MutexLock L(ConnMutex);
-    Slots.erase(Slot->Id);
+    C.Sock.close();
+    Finished.push_back(C.Id);
+    OpenConnections.set(double(--ActiveConns));
   }
-  OpenConnections.set(
-      double(ActiveConns.fetch_sub(1, std::memory_order_relaxed) - 1));
+  ConnEnded.notify_all(); // a draining join() waits on this
+  wake(); // the accept thread joins us
 }
 
 // -- ServiceFrameHandler ---------------------------------------------------
 
 /// Per-connection session: the handles this connection opened, released
-/// on disconnect. No lock — the server serializes all calls for one
-/// connection.
+/// on disconnect. No lock — only the connection's own thread touches it.
 struct ServiceFrameHandler::Session {
   std::vector<uint64_t> Handles;
 };
@@ -679,13 +365,10 @@ ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
     R.Execute = *OpOr == Op::Execute;
     R.VerifyOracle = Req->Verify;
     R.Operand = std::move(Req->Operand);
-    // Through submit(), not serve(): the wire path inherits the bounded
-    // admission queue, so overload surfaces to the remote client as the
-    // same typed RESOURCE_EXHAUSTED the in-process API sees.
-    auto FutureOr = Service.submit(std::move(R));
-    if (!FutureOr.ok())
-      return encodeStatusReply(FutureOr.status());
-    auto ResponseOr = FutureOr->get();
+    // Inline on this connection's thread, under the service's bounded
+    // admission: overload surfaces to the remote client as the same
+    // typed RESOURCE_EXHAUSTED the in-process API sees.
+    auto ResponseOr = Service.serveAdmitted(R);
     if (!ResponseOr.ok())
       return encodeStatusReply(ResponseOr.status());
     return encodeResponseReply(*ResponseOr);

@@ -5,32 +5,35 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving side of the binary transport: a TCP server that assembles
+/// The serving side of the binary transport: a TCP server that reads
 /// net/Wire.h frames and dispatches each to a `FrameHandler`, one
 /// in-flight frame per connection (the protocol is strictly
-/// request-reply). Two interchangeable serve modes:
+/// request-reply).
 ///
-///   - **Epoll** (default): one event-loop thread owns the listener and
-///     every connection (non-blocking, level-triggered). Complete frames
-///     are handed to a small worker pool; while a connection's frame is
-///     in flight its readable interest is dropped, so a pipelining
-///     client cannot queue unbounded work. Workers return replies
-///     through a completion queue and a self-pipe wakeup.
-///   - **Threads**: one blocking thread per connection — the portable
-///     fallback and the simplest possible reference implementation;
-///     shutdown interrupts blocked reads via `Socket::shutdownBoth`.
+/// Serving is thread-per-connection and run-to-completion: one accept
+/// thread owns the listener, and each accepted connection gets a
+/// blocking thread that reads a frame, handles it, and writes the reply
+/// — no other thread touches the request, so a wire request costs no
+/// hand-off and no wakeup beyond the socket's own. Finished connection
+/// threads are joined as they end, so a long-lived server holds threads
+/// only for its live connections.
 ///
-/// Both modes share `dispatch()`: Hello (version handshake) and Shutdown
-/// are answered by the transport itself; every other opcode goes to the
-/// handler. `requestStop()` is async-signal-safe (an atomic store plus a
+/// Hello (version handshake) and Shutdown are answered by the transport
+/// itself in `dispatch()`; every other opcode goes to the handler.
+/// `requestStop()` is async-signal-safe (an atomic store plus a
 /// self-pipe write), so a SIGTERM handler can stop the server directly;
-/// `join()` then waits for the drain: in-flight frames finish, replies
-/// flush, connections close, workers exit.
+/// the accept thread then closes the listener and shuts the *read* side
+/// of every connection, so a thread blocked between frames wakes with
+/// EOF while a reply still being written — the Shutdown op's own ack
+/// included — flushes. `join()` waits for that drain: in-flight frames
+/// are answered, connections close, threads exit. The drain is bounded:
+/// connections still open two seconds into it are shut both ways, so a
+/// peer that stops reading a large reply cannot hold the stop forever.
 ///
 /// `ServiceFrameHandler` is the production handler: it binds the frame
-/// vocabulary to a `SeerService`, routing select/execute through
-/// `SeerService::submit()` so the wire path inherits the bounded
-/// admission queue — a full queue surfaces to the client as a typed
+/// vocabulary to a `SeerService`, serving select/execute inline through
+/// `SeerService::serveAdmitted()`, so the wire path keeps the service's
+/// bounded admission — a full queue surfaces to the client as a typed
 /// RESOURCE_EXHAUSTED RStatus frame, the same backpressure contract the
 /// in-process API has. Handles opened over a connection are released
 /// when that connection closes, so a dropped client never leaks cache
@@ -56,7 +59,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -68,10 +70,6 @@ namespace seer::net {
 /// Application-level frame processing plugged into a NetServer. One
 /// handler instance serves every connection; per-connection state lives
 /// in the opaque pointer the server threads through the callbacks.
-/// handleFrame() runs on server worker threads (epoll mode) or
-/// connection threads (threads mode) — at most one call per connection
-/// at a time, but calls for *different* connections are concurrent, so
-/// shared handler state needs its own synchronization.
 class FrameHandler {
 public:
   virtual ~FrameHandler() = default;
@@ -82,7 +80,10 @@ public:
 
   /// Handles one decoded-frame payload (opcode byte included) and
   /// returns the reply payload to send back. Must always return a reply
-  /// — errors travel as RStatus frames, never as silence.
+  /// — errors travel as RStatus frames, never as silence. Runs on the
+  /// connection's own thread: calls for one connection are sequential,
+  /// but calls for *different* connections are concurrent, so shared
+  /// handler state needs its own synchronization.
   virtual std::string handleFrame(const std::shared_ptr<void> &State,
                                   const std::string &Payload) = 0;
 
@@ -99,11 +100,6 @@ struct NetServerConfig {
   std::string Host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with NetServer::port().
   uint16_t Port = 0;
-  enum class ServeMode { Epoll, Threads };
-  ServeMode Mode = ServeMode::Epoll;
-  /// Worker pool size (epoll mode only; threads mode is one thread per
-  /// connection by construction).
-  size_t Workers = 2;
   /// Connections beyond this are accepted and immediately closed.
   size_t MaxConnections = 256;
   /// Frame-length cap handed to the wire validator.
@@ -118,7 +114,7 @@ struct NetServerConfig {
 /// requestStop()+join() (or destruction) stops it.
 class NetServer {
 public:
-  /// Binds Config.Host:Config.Port and starts the serve threads.
+  /// Binds Config.Host:Config.Port and starts the accept thread.
   /// UNAVAILABLE / INVALID_ARGUMENT on bind failures.
   static Expected<std::unique_ptr<NetServer>> start(FrameHandler &Handler,
                                                     NetServerConfig Config);
@@ -131,59 +127,37 @@ public:
   uint16_t port() const { return BoundPort; }
 
   /// Requests shutdown: async-signal-safe (one atomic store + one
-  /// self-pipe write), callable from a SIGTERM handler and from worker
-  /// threads (the wire Shutdown opcode lands here). Idempotent.
+  /// self-pipe write), callable from a SIGTERM handler and from
+  /// connection threads (the wire Shutdown opcode lands here).
+  /// Idempotent.
   void requestStop();
 
   /// Blocks until the server has fully stopped: listener closed,
   /// in-flight frames answered, connections closed (with
-  /// connectionClosed fired for each), threads joined. Does not itself
+  /// connectionClosed fired for each), threads joined. A frame whose
+  /// reply has not flushed within the drain grace (two seconds) has its
+  /// connection cut instead of being waited for. Does not itself
   /// initiate shutdown — pair with requestStop(), a signal, or the wire
   /// Shutdown op.
   void join();
 
 private:
-  struct EpollConn;
-  struct ConnSlot;
-  struct WorkItem {
-    int Fd = -1;
-    std::shared_ptr<void> State;
-    std::string Payload;
-  };
-  struct DoneItem {
-    int Fd = -1;
-    std::string Reply;
-  };
+  struct Conn;
 
   NetServer(FrameHandler &Handler, NetServerConfig Config, Socket Listener,
             uint16_t BoundPort);
 
-  /// Transport-level dispatch shared by both modes: answers Hello and
-  /// Shutdown, forwards everything else to the handler; wraps the call
-  /// in the net.request span + request metrics.
+  /// Transport-level dispatch: answers Hello and Shutdown, forwards
+  /// everything else to the handler; wraps the call in the net.request
+  /// span + request metrics.
   std::string dispatch(const std::shared_ptr<void> &State,
                        const std::string &Payload);
 
   void wake();
-
-  // Epoll mode. All of these run on the loop thread only (workers touch
-  // nothing but the two queues), so the connection table needs no lock.
-  void epollLoop();
-  void workerLoop();
-  void epollAccept(int Ep);
-  void connEvent(int Ep, int Fd, uint32_t Events);
-  bool epollReadable(EpollConn &Conn); ///< false = fatal, retire the conn
-  void parseFrames(EpollConn &Conn);
-  bool flushOut(EpollConn &Conn); ///< false = fatal, retire the conn
-  void settle(int Ep, int Fd);
-  void retireConn(int Ep, int Fd);
-  void updateInterest(int Ep, EpollConn &Conn);
-  void destroyConn(int Ep, int Fd);
-  void processCompletions(int Ep);
-
-  // Threads mode.
   void acceptLoop();
-  void connectionLoop(std::shared_ptr<ConnSlot> Slot);
+  void connectionLoop(Conn &C);
+  /// Joins the threads of connections that have ended.
+  void reapFinished();
 
   FrameHandler &Handler;
   NetServerConfig Config;
@@ -201,39 +175,26 @@ private:
   int WakeRead = -1;
   int WakeWrite = -1;
   std::atomic<bool> StopFlag{false};
-  std::atomic<size_t> ActiveConns{0};
 
-  std::thread LoopThread;
-
-  /// Epoll mode: the connection table. Owned exclusively by the loop
-  /// thread — workers reach connections only through the fd keys in the
-  /// queues below, never through this map.
-  std::unordered_map<int, std::unique_ptr<EpollConn>> Conns;
-
-  // Epoll mode: work/completion queues between the loop thread and the
-  // worker pool.
-  std::vector<std::thread> Workers;
-  seer::Mutex WorkMutex;
-  seer::CondVar WorkCv;
-  std::deque<WorkItem> WorkQueue SEER_GUARDED_BY(WorkMutex);
-  bool WorkersStop SEER_GUARDED_BY(WorkMutex) = false;
-  seer::Mutex DoneMutex;
-  std::deque<DoneItem> DoneQueue SEER_GUARDED_BY(DoneMutex);
-
-  // Threads mode: live connection registry (for shutdown interrupt) and
-  // the per-connection threads to join.
+  /// Connections by id (the accept thread shuts their read sides on
+  /// stop), the ids of those whose thread has ended and awaits a join,
+  /// and how many are still being served. ConnEnded signals each end.
   seer::Mutex ConnMutex;
+  seer::CondVar ConnEnded;
   uint64_t NextConnId SEER_GUARDED_BY(ConnMutex) = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<ConnSlot>>
-      Slots SEER_GUARDED_BY(ConnMutex);
-  std::vector<std::thread> ConnThreads SEER_GUARDED_BY(ConnMutex);
+  size_t ActiveConns SEER_GUARDED_BY(ConnMutex) = 0;
+  std::unordered_map<uint64_t, std::shared_ptr<Conn>>
+      Conns SEER_GUARDED_BY(ConnMutex);
+  std::vector<uint64_t> Finished SEER_GUARDED_BY(ConnMutex);
+
+  std::thread AcceptThread;
 };
 
 /// The production FrameHandler: binds the wire vocabulary to a
-/// SeerService session. Select/Execute go through submit() (bounded
-/// admission queue -> RESOURCE_EXHAUSTED backpressure on the wire);
-/// handles opened on a connection are tracked in its state and released
-/// on disconnect.
+/// SeerService session. Select/Execute are served inline through
+/// serveAdmitted() (bounded admission -> RESOURCE_EXHAUSTED backpressure
+/// on the wire); handles opened on a connection are tracked in its state
+/// and released on disconnect.
 class ServiceFrameHandler : public FrameHandler {
 public:
   explicit ServiceFrameHandler(SeerService &Service);

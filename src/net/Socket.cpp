@@ -14,7 +14,6 @@
 #include <cstring>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -47,6 +46,11 @@ void Socket::close() {
     ::close(Fd);
     Fd = -1;
   }
+}
+
+void Socket::shutdownRead() {
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RD);
 }
 
 void Socket::shutdownBoth() {
@@ -152,8 +156,8 @@ Expected<Socket> Socket::accept() {
       Socket S(Conn);
       // The fault site fires after the kernel accept so an injected
       // failure *drops* the drained connection (RAII close) instead of
-      // leaving it pending — a pending connection would retrigger a
-      // level-triggered epoll loop forever.
+      // leaving it pending — a pending connection would wake the
+      // server's accept poll forever.
       if (Status F = FaultInjector::instance().check(faultsite::NetAccept);
           !F.ok())
         return F;
@@ -164,8 +168,6 @@ Expected<Socket> Socket::accept() {
     }
     if (errno == EINTR)
       continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return Status::resourceExhausted("no pending connection");
     return errnoStatus("accept failed", errno);
   }
 }
@@ -176,16 +178,6 @@ Expected<uint16_t> Socket::localPort() const {
   if (::getsockname(Fd, reinterpret_cast<sockaddr *>(&Addr), &Len) != 0)
     return errnoStatus("getsockname failed", errno);
   return ntohs(Addr.sin_port);
-}
-
-Status Socket::setNonBlocking(bool Enable) {
-  const int Flags = ::fcntl(Fd, F_GETFL, 0);
-  if (Flags < 0)
-    return errnoStatus("fcntl(F_GETFL) failed", errno);
-  const int Want = Enable ? (Flags | O_NONBLOCK) : (Flags & ~O_NONBLOCK);
-  if (::fcntl(Fd, F_SETFL, Want) < 0)
-    return errnoStatus("fcntl(F_SETFL) failed", errno);
-  return Status::okStatus();
 }
 
 Status seer::net::parseHostPort(const std::string &Spec, std::string &Host,

@@ -64,9 +64,15 @@ public:
   /// Closes the descriptor now (idempotent).
   void close();
 
-  /// Half-closes both directions without releasing the descriptor: a
-  /// thread blocked in recv() on this socket wakes with EOF. How the
-  /// server interrupts per-connection threads on shutdown.
+  /// Shuts the read side without releasing the descriptor: a thread
+  /// blocked in recv() on this socket wakes with EOF, while writes still
+  /// go out. How the server interrupts connection threads on stop
+  /// without cutting off a reply in flight.
+  void shutdownRead();
+
+  /// Shuts both directions without releasing the descriptor: a thread
+  /// blocked in send() or recv() on this socket fails at once. How the
+  /// server cuts a connection whose reply did not flush in time.
   void shutdownBoth();
 
   /// Writes all \p Size bytes (EINTR/short-write loop, SIGPIPE
@@ -89,15 +95,12 @@ public:
   static Expected<Socket> listenOn(const std::string &Host, uint16_t Port,
                                    int Backlog = 64);
 
-  /// Accepts one connection (blocking unless the listener is
-  /// non-blocking). Checks the `net.accept` fault site.
+  /// Accepts one connection (blocking). Checks the `net.accept` fault
+  /// site.
   Expected<Socket> accept();
 
   /// The locally bound port (after listenOn with port 0).
   Expected<uint16_t> localPort() const;
-
-  /// Switches O_NONBLOCK (the epoll server's connection mode).
-  Status setNonBlocking(bool Enable);
 
 private:
   int Fd = -1;

@@ -27,6 +27,7 @@
 #ifndef SEER_SUPPORT_THREADANNOTATIONS_H
 #define SEER_SUPPORT_THREADANNOTATIONS_H
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -146,6 +147,13 @@ public:
   /// Atomically releases Lock and blocks; Lock is held again on return.
   /// Capability-neutral: held before, held after.
   void wait(MutexLock &Lock) { Native.wait(Lock.Lock); }
+
+  /// wait() with a deadline: false once \p Deadline has passed.
+  bool waitUntil(MutexLock &Lock,
+                 std::chrono::steady_clock::time_point Deadline) {
+    return Native.wait_until(Lock.Lock, Deadline) ==
+           std::cv_status::no_timeout;
+  }
 
   void notify_one() { Native.notify_one(); }
   void notify_all() { Native.notify_all(); }

@@ -12,9 +12,12 @@
 // the shard balancer relies on really does leave the rest of the frame
 // untouched, wire-level faults (net.accept / net.read / net.write /
 // net.frame sites, short reads, mid-stream drops) surface as the typed
-// Status the fault plan or the transport dictates, a loopback
-// NetServer+NetClient session produces responses bit-identical to the
-// in-process API in both serve modes, and the consistent-hash shard
+// Status the fault plan or the transport dictates, loopback
+// NetServer+NetClient sessions — one or several concurrent — produce
+// responses bit-identical to the in-process API, wire requests pass the
+// service's admission control, stopping answers the frame in flight yet
+// cannot be held forever by a peer that stops reading, finished
+// connection threads are reaped, and the consistent-hash shard
 // router is deterministic, covering, and honored end-to-end by the
 // balancer handler.
 //
@@ -34,8 +37,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <fstream>
+#include <future>
 #include <thread>
+
+#include <dirent.h>
+#include <pthread.h>
+#include <sys/socket.h>
 
 using namespace seer;
 using namespace seer::net;
@@ -477,22 +487,20 @@ TEST(NetFaults, ReadAndWriteSitesInject) {
 // Loopback serving: NetServer + NetClient vs the in-process API
 //===----------------------------------------------------------------------===//
 
-/// Starts a loopback server over \p Handler in \p Mode and returns it.
-std::unique_ptr<NetServer> startLoopback(FrameHandler &Handler,
-                                         NetServerConfig::ServeMode Mode) {
+/// Starts a loopback server over \p Handler and returns it.
+std::unique_ptr<NetServer> startLoopback(FrameHandler &Handler) {
   NetServerConfig Config;
   Config.Host = "127.0.0.1";
   Config.Port = 0;
-  Config.Mode = Mode;
   auto Server = NetServer::start(Handler, Config);
   EXPECT_TRUE(Server.ok()) << Server.status().toString();
   return std::move(*Server);
 }
 
-void runLoopbackBitIdentity(NetServerConfig::ServeMode Mode) {
+TEST(NetServerTest, LoopbackBitIdentity) {
   SeerService Remote(tinyModels());
   ServiceFrameHandler Handler(Remote);
-  auto Server = startLoopback(Handler, Mode);
+  auto Server = startLoopback(Handler);
   auto Client = NetClient::connect("127.0.0.1", Server->port());
   ASSERT_TRUE(Client.ok()) << Client.status().toString();
 
@@ -569,28 +577,267 @@ void runLoopbackBitIdentity(NetServerConfig::ServeMode Mode) {
   Server->join();
 }
 
-TEST(NetServerTest, EpollLoopbackBitIdentity) {
-  runLoopbackBitIdentity(NetServerConfig::ServeMode::Epoll);
+TEST(NetServerTest, ConcurrentClientsMatchTheLocalService) {
+  SeerService Remote(tinyModels());
+  ServiceFrameHandler Handler(Remote);
+  auto Server = startLoopback(Handler);
+
+  // One reference answer per (matrix, iterations), select and execute,
+  // from the in-process API.
+  const std::vector<double> Seeds = {20.0, 21.0, 22.0};
+  const std::vector<uint32_t> Iterations = {1, 5, 19};
+  std::vector<CsrMatrix> Matrices;
+  std::vector<std::vector<ServeResponse>> Selects(Seeds.size()),
+      Executes(Seeds.size());
+  SeerService Local(tinyModels());
+  for (size_t M = 0; M < Seeds.size(); ++M) {
+    Matrices.push_back(genMatrix(Seeds[M]));
+    auto Handle = Local.registerMatrix(Matrices.back());
+    ASSERT_TRUE(Handle);
+    for (const uint32_t Iters : Iterations) {
+      auto Sel = Local.select(*Handle, Iters);
+      auto Exec = Local.execute(*Handle, Iters);
+      ASSERT_TRUE(Sel && Exec);
+      Selects[M].push_back(std::move(*Sel));
+      Executes[M].push_back(std::move(*Exec));
+    }
+  }
+
+  // Four connections, each opening every matrix (concurrent registrations
+  // of the same content share one cache entry) and interleaving selects
+  // and executes in its own order.
+  constexpr size_t Clients = 4;
+  constexpr size_t OpsPerClient = 36;
+  std::vector<std::thread> Threads;
+  for (size_t C = 0; C < Clients; ++C)
+    Threads.emplace_back([&, C] {
+      auto Client = NetClient::connect("127.0.0.1", Server->port());
+      ASSERT_TRUE(Client.ok()) << Client.status().toString();
+      std::vector<uint64_t> Handles;
+      for (const CsrMatrix &M : Matrices) {
+        const auto Open = Client->open("m", M);
+        ASSERT_TRUE(Open) << Open.status().toString();
+        Handles.push_back(Open->Handle);
+      }
+      for (size_t Op = 0; Op < OpsPerClient; ++Op) {
+        const size_t K = Op * 7 + C * 5;
+        const size_t M = K % Matrices.size();
+        const size_t I = (K / Matrices.size()) % Iterations.size();
+        const bool Execute = (Op + C) % 2 == 1;
+        const auto Got =
+            Execute ? Client->execute(Handles[M], Iterations[I], false, {})
+                    : Client->select(Handles[M], Iterations[I]);
+        ASSERT_TRUE(Got) << Got.status().toString();
+        const ServeResponse &Want = Execute ? Executes[M][I] : Selects[M][I];
+        EXPECT_EQ(Got->Selection.KernelIndex, Want.Selection.KernelIndex)
+            << "client " << C << " op " << Op;
+        EXPECT_EQ(Got->Selection.UsedGatheredModel,
+                  Want.Selection.UsedGatheredModel)
+            << "client " << C << " op " << Op;
+        EXPECT_EQ(Got->Fingerprint, Want.Fingerprint);
+        EXPECT_EQ(Got->Executed, Execute);
+        EXPECT_TRUE(bitsEqual(Got->Y, Want.Y))
+            << "client " << C << " op " << Op;
+      }
+      for (const uint64_t Handle : Handles)
+        EXPECT_TRUE(Client->close(Handle).ok());
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  Server->requestStop();
+  Server->join();
 }
 
-TEST(NetServerTest, ThreadsLoopbackBitIdentity) {
-  runLoopbackBitIdentity(NetServerConfig::ServeMode::Threads);
+TEST(NetServerTest, WireRequestsPassServiceAdmission) {
+  SeerService Service(tinyModels());
+  ServiceFrameHandler Handler(Service);
+  auto Server = startLoopback(Handler);
+  auto Client = NetClient::connect("127.0.0.1", Server->port());
+  ASSERT_TRUE(Client.ok()) << Client.status().toString();
+  const auto Open = Client->open("m", genMatrix(8));
+  ASSERT_TRUE(Open) << Open.status().toString();
+
+  const ServerStats Before = Service.stats();
+  const uint32_t Attempts = RetryPolicy().MaxAttempts;
+  {
+    DisarmGuard Guard;
+    armPlan("queue.admit every=1 status=RESOURCE_EXHAUSTED admission shut\n");
+    for (int I = 0; I < 2; ++I) {
+      const auto Rejected = Client->select(Open->Handle, 5);
+      ASSERT_FALSE(Rejected);
+      EXPECT_EQ(Rejected.status().code(), StatusCode::ResourceExhausted)
+          << Rejected.status().toString();
+    }
+  }
+  const ServerStats Shut = Service.stats();
+  // Each rejected select spent its whole retry budget on admission.
+  EXPECT_EQ(Shut.AsyncRejected - Before.AsyncRejected, 2u);
+  EXPECT_EQ(Shut.RetriesExhausted - Before.RetriesExhausted, 2u);
+  EXPECT_EQ(Shut.Retries - Before.Retries, 2u * (Attempts - 1));
+  EXPECT_EQ(Shut.AsyncAccepted, Before.AsyncAccepted);
+
+  // Disarmed, the same request is admitted and served.
+  const auto Served = Client->execute(Open->Handle, 5, false, {});
+  ASSERT_TRUE(Served) << Served.status().toString();
+  EXPECT_EQ(Service.stats().AsyncAccepted - Shut.AsyncAccepted, 1u);
+  EXPECT_EQ(Service.stats().AsyncRejected, Shut.AsyncRejected);
+
+  Server->requestStop();
+  Server->join();
 }
 
 TEST(NetServerTest, ShutdownOpStopsTheServer) {
   SeerService Service(tinyModels());
   ServiceFrameHandler Handler(Service);
-  auto Server = startLoopback(Handler, NetServerConfig::ServeMode::Epoll);
+  auto Server = startLoopback(Handler);
   auto Client = NetClient::connect("127.0.0.1", Server->port());
   ASSERT_TRUE(Client.ok());
   EXPECT_TRUE(Client->shutdownServer().ok());
   Server->join(); // returns because the wire op stopped the server
 }
 
+TEST(NetServerTest, StopAnswersTheFrameInFlight) {
+  SeerService Service(tinyModels());
+  ServiceFrameHandler Handler(Service);
+  auto Server = startLoopback(Handler);
+  auto Client = NetClient::connect("127.0.0.1", Server->port());
+  ASSERT_TRUE(Client.ok()) << Client.status().toString();
+  const auto Open = Client->open("m", genMatrix(7));
+  ASSERT_TRUE(Open) << Open.status().toString();
+
+  DisarmGuard Guard;
+  armPlan("plan.select nth=1 latency-ms=400\n");
+  const uint64_t Admitted = Service.stats().AsyncAccepted;
+  auto Reply = std::async(std::launch::async, [&] {
+    return Client->select(Open->Handle, 5);
+  });
+  // Stop only once the select is inside the service, held by the
+  // injected latency.
+  for (int I = 0; I < 500 && Service.stats().AsyncAccepted == Admitted; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(Service.stats().AsyncAccepted, Admitted + 1);
+  Server->requestStop();
+
+  const auto Answered = Reply.get();
+  EXPECT_TRUE(Answered) << Answered.status().toString();
+  Server->join();
+}
+
+TEST(NetServerTest, StopCutsAReplyThePeerNeverReads) {
+  SeerService Service(tinyModels());
+  ServiceFrameHandler Handler(Service);
+  MetricsRegistry Registry;
+  NetServerConfig Config;
+  Config.Metrics = &Registry;
+  auto ServerOr = NetServer::start(Handler, Config);
+  ASSERT_TRUE(ServerOr.ok()) << ServerOr.status().toString();
+  std::unique_ptr<NetServer> Server = std::move(*ServerOr);
+
+  auto Peer = Socket::connectTo("127.0.0.1", Server->port());
+  ASSERT_TRUE(Peer.ok()) << Peer.status().toString();
+  // A tiny receive buffer, locked against autotuning, so the reply below
+  // overflows both socket buffers and the server's write blocks.
+  const int Tiny = 4096;
+  ASSERT_EQ(::setsockopt(Peer->fd(), SOL_SOCKET, SO_RCVBUF, &Tiny,
+                         sizeof(Tiny)),
+            0);
+  ASSERT_TRUE(writeFrame(*Peer, encodeOpen("m", genMatrix(8))).ok());
+  std::string Payload;
+  ASSERT_TRUE(readFrame(*Peer, DefaultMaxFrameBytes, Payload).ok());
+  const auto Open = decodeOpenReply(Payload);
+  ASSERT_TRUE(Open) << Open.status().toString();
+
+  // The largest batch: 4096 result vectors of 512 doubles, a 16 MiB
+  // reply the peer never reads. The server counts a reply's bytes just
+  // before writing it.
+  Counter &Written = Registry.counter("seer_net_bytes_written_total");
+  const uint64_t WrittenBefore = Written.value();
+  ASSERT_TRUE(writeFrame(*Peer, encodeBatch(Open->Handle, 4096, 1)).ok());
+  for (int I = 0; I < 1000 && Written.value() == WrittenBefore; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_GT(Written.value(), WrittenBefore + (16u << 20));
+
+  auto Stopped = std::async(std::launch::async, [&] {
+    Server->requestStop();
+    Server->join();
+  });
+  const bool InTime =
+      Stopped.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  if (!InTime)
+    Peer->close(); // unblock the stuck write so the test fails, not hangs
+  Stopped.get();
+  EXPECT_TRUE(InTime) << "join() waited on a reply the peer never reads";
+}
+
+/// Threads of this process, from /proc/self/task.
+size_t taskCount() {
+  size_t Count = 0;
+  if (DIR *Dir = ::opendir("/proc/self/task")) {
+    while (const dirent *Entry = ::readdir(Dir))
+      Count += Entry->d_name[0] != '.';
+    ::closedir(Dir);
+  }
+  return Count;
+}
+
+/// This process's mapped address space in bytes (VmSize). An ended but
+/// unjoined thread keeps its stack mapped; a joined one returns it.
+size_t mappedBytes() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("VmSize:", 0) == 0)
+      return size_t(std::stoull(Line.substr(7))) * 1024;
+  return 0;
+}
+
+TEST(NetServerTest, FinishedConnectionThreadsAreReaped) {
+  SeerService Service(tinyModels());
+  ServiceFrameHandler Handler(Service);
+  auto Server = startLoopback(Handler);
+  {
+    // Warm up once so lazily created threads and cached stacks exist
+    // before the baseline.
+    auto Client = NetClient::connect("127.0.0.1", Server->port());
+    ASSERT_TRUE(Client.ok());
+    ASSERT_TRUE(Client->statsText());
+  }
+  const size_t TasksBefore = taskCount();
+  const size_t BytesBefore = mappedBytes();
+
+  constexpr int Cycles = 64;
+  for (int I = 0; I < Cycles; ++I) {
+    auto Client = NetClient::connect("127.0.0.1", Server->port());
+    ASSERT_TRUE(Client.ok()) << Client.status().toString();
+    ASSERT_TRUE(Client->statsText());
+  }
+  // The last connection thread ends and is joined shortly after its
+  // client goes.
+  for (int I = 0; I < 500 && taskCount() > TasksBefore + 2; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_LE(taskCount(), TasksBefore + 2);
+
+  // A leaked thread keeps a whole stack mapped: 64 of them would add
+  // 64 stacks, a reaped server at most a few.
+  pthread_attr_t Attr;
+  size_t StackBytes = 0;
+  ASSERT_EQ(::pthread_getattr_default_np(&Attr), 0);
+  ASSERT_EQ(::pthread_attr_getstacksize(&Attr, &StackBytes), 0);
+  ::pthread_attr_destroy(&Attr);
+  const size_t BytesAfter = mappedBytes();
+  EXPECT_LT(BytesAfter, BytesBefore + 16 * StackBytes)
+      << "grew " << (BytesAfter - BytesBefore) / 1024 << " KiB over "
+      << Cycles << " connections";
+
+  Server->requestStop();
+  Server->join();
+}
+
 TEST(NetServerTest, ConnectionCloseReleasesHandles) {
   SeerService Service(tinyModels());
   ServiceFrameHandler Handler(Service);
-  auto Server = startLoopback(Handler, NetServerConfig::ServeMode::Epoll);
+  auto Server = startLoopback(Handler);
   {
     auto Client = NetClient::connect("127.0.0.1", Server->port());
     ASSERT_TRUE(Client.ok());
@@ -645,12 +892,12 @@ TEST(LbHandlerTest, RoutesSessionsAcrossShardsBitIdentically) {
   // Two real shard servers, each over its own service.
   SeerService ShardA(tinyModels()), ShardB(tinyModels());
   ServiceFrameHandler HandlerA(ShardA), HandlerB(ShardB);
-  auto ServerA = startLoopback(HandlerA, NetServerConfig::ServeMode::Epoll);
-  auto ServerB = startLoopback(HandlerB, NetServerConfig::ServeMode::Epoll);
+  auto ServerA = startLoopback(HandlerA);
+  auto ServerB = startLoopback(HandlerB);
 
   LbHandler Lb({ShardEndpoint{"127.0.0.1", ServerA->port()},
                 ShardEndpoint{"127.0.0.1", ServerB->port()}});
-  auto LbServer = startLoopback(Lb, NetServerConfig::ServeMode::Epoll);
+  auto LbServer = startLoopback(Lb);
   auto Client = NetClient::connect("127.0.0.1", LbServer->port());
   ASSERT_TRUE(Client.ok()) << Client.status().toString();
 

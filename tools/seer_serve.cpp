@@ -100,12 +100,14 @@ constexpr const char *Usage =
     "                      final metrics snapshot goes to stderr on failure\n"
     "  --listen HOST:PORT  serve the binary wire protocol (net/Wire.h) on a\n"
     "                      TCP listener instead of stdin/trace replay; port\n"
-    "                      0 binds an ephemeral port. Stops on SIGTERM /\n"
-    "                      SIGINT or the wire Shutdown op, draining in-\n"
-    "                      flight requests before exit\n"
+    "                      0 binds an ephemeral port. Each connection gets a\n"
+    "                      thread that serves its requests inline, under the\n"
+    "                      same admission bound as the async API (a full\n"
+    "                      queue answers RESOURCE_EXHAUSTED). Stops on\n"
+    "                      SIGTERM / SIGINT or the wire Shutdown op,\n"
+    "                      answering in-flight requests before exit\n"
     "  --port-file FILE    with --listen: write the bound port to FILE once\n"
     "                      serving (how spawners using port 0 find us)\n"
-    "  --net-mode MODE     with --listen: 'epoll' (default) or 'threads'\n"
     "\n"
     "Either output flag arms the span recorder, which also enables the\n"
     "armed-only per-stage histograms (seer_stage_*_us, seer_cost_model_*)\n"
@@ -575,18 +577,16 @@ extern "C" void onStopSignal(int) {
 }
 
 /// Network serving: bind, publish the port, then block until SIGTERM /
-/// SIGINT or a wire Shutdown op, and drain before returning.
+/// SIGINT or a wire Shutdown op. join() returns once every connection
+/// thread has answered its in-flight request and exited, so no admitted
+/// work outlives it.
 int runListen(SeerService &Service, const std::string &ListenSpec,
-              const std::string &PortFile, const std::string &Mode) {
+              const std::string &PortFile) {
   net::NetServerConfig Config;
   if (const Status S =
           net::parseHostPort(ListenSpec, Config.Host, Config.Port);
       !S.ok())
     fatal(S);
-  if (Mode == "threads")
-    Config.Mode = net::NetServerConfig::ServeMode::Threads;
-  else if (!Mode.empty() && Mode != "epoll")
-    fatal("--net-mode must be 'epoll' or 'threads'");
   // Share the service's registry so seer_net_* counters land in the same
   // exposition (and stats snapshot) as the serving metrics.
   Config.Metrics = &Service.metrics();
@@ -611,9 +611,6 @@ int runListen(SeerService &Service, const std::string &ListenSpec,
   SignalTarget.store(nullptr, std::memory_order_release);
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
-  // The listener is gone but admitted work may still be in the async
-  // queue; finish it before the service (and its cache) is torn down.
-  Service.drain();
   return 0;
 }
 
@@ -622,7 +619,7 @@ int runListen(SeerService &Service, const std::string &ListenSpec,
 int main(int Argc, char **Argv) {
   FlagSpec Spec;
   Spec.Value = {"models",      "trace",     "fault-plan", "metrics-out",
-                "trace-out",   "listen",    "port-file",  "net-mode"};
+                "trace-out",   "listen",    "port-file"};
   Spec.Int = {"clients", "repeat", "cache-budget", "cache-shards"};
   Spec.Bool = {"strict"};
   const CommandLine Cmd(Argc, Argv, Usage, Spec);
@@ -670,8 +667,7 @@ int main(int Argc, char **Argv) {
   if (!ListenSpec.empty()) {
     if (!TracePath.empty())
       fatal("--listen and --trace are mutually exclusive");
-    ExitCode = runListen(Service, ListenSpec, Cmd.flag("port-file"),
-                         Cmd.flag("net-mode"));
+    ExitCode = runListen(Service, ListenSpec, Cmd.flag("port-file"));
   } else if (TracePath.empty()) {
     ExitCode = runStdin(Service);
     // EOF/quit ends the session, but work admitted through the async
