@@ -4,11 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The perf-tracking harness for the serving layer: drives one SeerServer
-// with a synthetic request stream at a ladder of client counts and
-// cache-hit ratios, in both select-only and execute modes, and writes
-// BENCH_serving.json (throughput, latency percentiles, observed hit
-// ratio, mispredict rate).
+// The perf-tracking harness for the serving layer: drives the session API
+// (SeerService) with a synthetic request stream at a ladder of client
+// counts and cache-hit ratios, in both select-only and execute modes, and
+// writes BENCH_serving.json (throughput, latency percentiles, observed
+// hit ratio, mispredict rate).
 //
 // Every response is checked bit-identical against the one-shot
 // SeerRuntime answer for the same (matrix, iterations): same kernel, same
@@ -17,10 +17,12 @@
 //
 // A churn scenario additionally stresses the byte-budgeted cache: a
 // working set several times larger than the configured budget cycles
-// through the server for multiple passes, so entries are continuously
-// evicted and re-analyzed. The gate extends to the budget invariant —
-// the accounted cache bytes must never exceed the budget — and to
-// bit-identity of every selection despite the eviction/re-analysis churn.
+// through the server for multiple passes, each request registering,
+// serving and releasing its matrix, so entries are continuously evicted
+// and re-analyzed. The gate extends to the budget invariant — within
+// budget after every release when serial, and once every client has
+// joined when concurrent — and to bit-identity of every selection
+// despite the eviction/re-analysis churn.
 //
 // A chaos scenario arms deterministic fault plans (support/FaultInjector.h)
 // against live services and gates the fault-tolerance contract: every
@@ -63,11 +65,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-// The v1 grid exists to compare the deprecated pointer-based path
-// against the handle API bit-for-bit; its uses of handle()/handleBatch()
-// are the point, so the deprecation warnings are silenced here.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 using namespace seer;
 using namespace seer::tools;
 
@@ -76,7 +73,7 @@ namespace {
 constexpr const char *Usage =
     "usage: serving_throughput [options]\n"
     "\n"
-    "Times SeerServer request handling vs. client count and cache-hit\n"
+    "Times session-API request handling vs. client count and cache-hit\n"
     "ratio, verifies bit-identity against one-shot SeerRuntime calls, and\n"
     "writes BENCH_serving.json.\n"
     "\n"
@@ -134,7 +131,8 @@ struct RunRecord {
   /// unique matrices — fingerprint + analysis) outside the timed window.
   double RegistrationSeconds = 0.0;
   /// Churn runs only: the configured budget, the largest accounted byte
-  /// count ever observed, and whether it stayed within the budget.
+  /// count sampled (after every release when serial, after the join when
+  /// concurrent), and whether it stayed within the budget.
   size_t BudgetBytes = 0;
   uint64_t MaxBytesCached = 0;
   bool BudgetRespected = true;
@@ -231,60 +229,6 @@ int main(int Argc, char **Argv) {
   };
 
   std::vector<RunRecord> Records;
-  for (const bool Execute : {false, true})
-    for (const double Ratio : HitRatios)
-      for (const unsigned C : Clients) {
-        // A target hit ratio h over R requests needs U = R * (1 - h)
-        // unique matrices: U first-touch misses, R - U hits.
-        const size_t Unique = std::max<size_t>(
-            1, static_cast<size_t>(static_cast<double>(Requests) *
-                                   (1.0 - Ratio)));
-
-        std::vector<ServeRequest> Stream(Requests);
-        for (size_t I = 0; I < Requests; ++I) {
-          Stream[I].Matrix = &Pool[I % Unique];
-          Stream[I].Iterations = IterationPattern[I % 3];
-          Stream[I].Execute = Execute;
-          Stream[I].VerifyOracle = Execute;
-        }
-
-        SeerServer Server(Models);
-        const auto Start = std::chrono::steady_clock::now();
-        const std::vector<ServeResponse> Responses =
-            Server.handleBatch(Stream, C);
-        const double Wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - Start)
-                                .count();
-
-        RunRecord Record;
-        Record.Mode = Execute ? "execute" : "select";
-        Record.Clients = C;
-        Record.Execute = Execute;
-        Record.TargetHitRatio = Ratio;
-        Record.UniqueMatrices = Unique;
-        Record.Requests = Requests;
-        Record.WallSeconds = Wall;
-        Record.Stats = Server.stats();
-        for (size_t I = 0; I < Responses.size(); ++I) {
-          const ExpectedAnswer &E = ExpectedFor(I % Unique, Stream[I].Iterations,
-                                          Execute);
-          const ServeResponse &R = Responses[I];
-          const bool Same =
-              R.Selection.KernelIndex == E.Selection.KernelIndex &&
-              R.Selection.UsedGatheredModel ==
-                  E.Selection.UsedGatheredModel &&
-              (!Execute || R.Y == E.Y);
-          Record.BitIdentical = Record.BitIdentical && Same;
-        }
-        Records.push_back(Record);
-        std::fprintf(stderr,
-                     "  %s clients=%u hit=%.1f  %7.0f req/s  p50 %.1fus  "
-                     "p99 %.1fus  %s\n",
-                     Execute ? "execute" : "select ", C, Ratio,
-                     static_cast<double>(Requests) / Wall,
-                     Record.Stats.P50LatencyUs, Record.Stats.P99LatencyUs,
-                     Record.BitIdentical ? "ok" : "MISMATCH");
-      }
 
   // Registers the first Unique pool matrices with a service (zero-copy:
   // the pool outlives every service) and returns the handles plus the
@@ -305,15 +249,15 @@ int main(int Argc, char **Argv) {
         .count();
   };
 
-  // The same grid through serving API v2: the unique matrices are
-  // registered once per run (outside the timed window — that is the
-  // point of the redesign), then the identical request stream is served
-  // through handles. The gate extends bit-identity to this path, and the
-  // per-request latency shows the amortized fingerprint/lookup cost:
-  // v2-select at a given hit ratio must sit below the v1 select run.
+  // The client-count x hit-ratio grid: the unique matrices are registered
+  // once per run (outside the timed window, reported as registration_s),
+  // then the request stream is served through handles and gated
+  // bit-identical against the one-shot runtime.
   for (const bool Execute : {false, true})
     for (const double Ratio : HitRatios)
       for (const unsigned C : Clients) {
+        // A target hit ratio h over R requests needs U = R * (1 - h)
+        // unique matrices: U first touches, R - U repeats.
         const size_t Unique = std::max<size_t>(
             1, static_cast<size_t>(static_cast<double>(Requests) *
                                    (1.0 - Ratio)));
@@ -817,10 +761,24 @@ int main(int Argc, char **Argv) {
   // instead of being a magic constant.
   const size_t ChurnUnique = std::min<size_t>(Requests, 32);
   const size_t ChurnPasses = std::max<size_t>(2, Requests / ChurnUnique);
+  // One churn request the way every client issues it: register the pool
+  // matrix (zero-copy), serve it, release the registration — the release
+  // re-polices the cache budget.
+  const auto ServeRegistered = [&](SeerServer &Server, size_t PoolIndex,
+                                   const ServeOptions &Options) {
+    const RegisteredMatrix Registered =
+        Server.registerMatrix(std::shared_ptr<const CsrMatrix>(
+            std::shared_ptr<void>(), &Pool[PoolIndex]));
+    Expected<ServeResponse> Response =
+        Server.handleRegistered(Registered, Options);
+    Server.releaseMatrix(Registered);
+    if (!Response)
+      fatal(Response.status());
+    return std::move(*Response);
+  };
   for (const bool Execute : {false, true}) {
-    std::vector<ServeRequest> Pass(ChurnUnique);
+    std::vector<ServeOptions> Pass(ChurnUnique);
     for (size_t I = 0; I < ChurnUnique; ++I) {
-      Pass[I].Matrix = &Pool[I];
       Pass[I].Iterations = IterationPattern[I % 3];
       Pass[I].Execute = Execute;
       Pass[I].VerifyOracle = Execute;
@@ -834,18 +792,20 @@ int main(int Argc, char **Argv) {
     uint64_t FullSetBytes = 0, LeanSetBytes = 0;
     {
       SeerServer Unbounded(Models);
-      Unbounded.handleBatch(Pass, 1);
+      for (size_t I = 0; I < ChurnUnique; ++I)
+        ServeRegistered(Unbounded, I, Pass[I]);
       FullSetBytes = Unbounded.stats().BytesCached;
     }
     if (!Execute) {
       // Select-only entries hold nothing shed-able: lean == full.
       LeanSetBytes = FullSetBytes;
     } else {
-      std::vector<ServeRequest> Lean = Pass;
-      for (ServeRequest &Request : Lean)
-        Request.VerifyOracle = false;
       SeerServer Unbounded(Models);
-      Unbounded.handleBatch(Lean, 1);
+      for (size_t I = 0; I < ChurnUnique; ++I) {
+        ServeOptions Lean = Pass[I];
+        Lean.VerifyOracle = false;
+        ServeRegistered(Unbounded, I, Lean);
+      }
       LeanSetBytes = Unbounded.stats().BytesCached;
     }
 
@@ -873,11 +833,13 @@ int main(int Argc, char **Argv) {
 
       const auto Start = std::chrono::steady_clock::now();
       if (C == 1) {
-        // Serial run: sample the accounted bytes after every response so
-        // a budget violation is caught the moment it happens.
+        // Serial run: sample the accounted bytes after every request. The
+        // sample follows the release, which re-polices the budget with
+        // nothing else pinned, so a violation is caught the moment it
+        // happens.
         for (size_t P = 0; P < ChurnPasses; ++P)
           for (size_t I = 0; I < ChurnUnique; ++I) {
-            const ServeResponse R = Server.handle(Pass[I]);
+            const ServeResponse R = ServeRegistered(Server, I, Pass[I]);
             const ExpectedAnswer &E =
                 ExpectedFor(I, Pass[I].Iterations, Execute);
             const bool Same =
@@ -891,33 +853,32 @@ int main(int Argc, char **Argv) {
           }
       } else {
         // Concurrent run: real client threads over disjoint slices of
-        // the stream, each sampling the accounted bytes after every
-        // response so a mid-run budget overshoot cannot hide behind the
-        // end-of-batch state.
-        std::vector<ServeRequest> Stream;
-        Stream.reserve(ChurnUnique * ChurnPasses);
-        for (size_t P = 0; P < ChurnPasses; ++P)
-          Stream.insert(Stream.end(), Pass.begin(), Pass.end());
-        std::vector<ServeResponse> Responses(Stream.size());
-        std::vector<uint64_t> MaxSeen(C, 0);
+        // the stream. Every in-flight request pins its entry, and pinned
+        // bytes count against the budget by design
+        // (serve/FingerprintCache.h), so a mid-stream sample may read
+        // over budget; the strict per-sample check belongs to the
+        // unpinned cache path (serve_test's
+        // UnpinnedConcurrentChurnNeverExceedsBudget). Here every answer
+        // must stay bit-identical and the cache must be back within
+        // budget once every client has released and joined (sampled
+        // below).
+        std::vector<ServeResponse> Responses(ChurnUnique * ChurnPasses);
         std::vector<std::thread> Threads;
         Threads.reserve(C);
-        const size_t Chunk = (Stream.size() + C - 1) / C;
+        const size_t Chunk = (Responses.size() + C - 1) / C;
         for (unsigned T = 0; T < C; ++T)
           Threads.emplace_back([&, T] {
             const size_t Begin = T * Chunk;
-            const size_t End = std::min(Stream.size(), Begin + Chunk);
-            for (size_t I = Begin; I < End; ++I) {
-              Responses[I] = Server.handle(Stream[I]);
-              MaxSeen[T] =
-                  std::max(MaxSeen[T], Server.stats().BytesCached);
-            }
+            const size_t End = std::min(Responses.size(), Begin + Chunk);
+            for (size_t I = Begin; I < End; ++I)
+              Responses[I] = ServeRegistered(Server, I % ChurnUnique,
+                                             Pass[I % ChurnUnique]);
           });
         for (std::thread &T : Threads)
           T.join();
         for (size_t I = 0; I < Responses.size(); ++I) {
-          const ExpectedAnswer &E = ExpectedFor(I % ChurnUnique,
-                                          Stream[I].Iterations, Execute);
+          const ExpectedAnswer &E = ExpectedFor(
+              I % ChurnUnique, Pass[I % ChurnUnique].Iterations, Execute);
           const ServeResponse &R = Responses[I];
           const bool Same =
               R.Selection.KernelIndex == E.Selection.KernelIndex &&
@@ -925,8 +886,6 @@ int main(int Argc, char **Argv) {
               (!Execute || R.Y == E.Y);
           Record.BitIdentical = Record.BitIdentical && Same;
         }
-        for (const uint64_t Max : MaxSeen)
-          Record.MaxBytesCached = std::max(Record.MaxBytesCached, Max);
       }
       Record.WallSeconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - Start)
@@ -1564,20 +1523,16 @@ int main(int Argc, char **Argv) {
                    R.BatchMeanUs);
       break;
     }
-  // The redesign's headline number: mean per-request select cost on a
-  // repeat-heavy stream (highest hit ratio, single client) with the
-  // per-request fingerprint+lookup (v1) vs registered handles (v2).
+  // Mean per-request select cost through registered handles on a
+  // repeat-heavy stream (highest hit ratio, single client).
   {
-    double V1MeanUs = 0.0, V2MeanUs = 0.0;
+    double HandleMeanUs = 0.0;
     for (const RunRecord &R : Records)
-      if (R.Clients == 1 && R.TargetHitRatio == HitRatios.back()) {
-        if (R.Mode == "select")
-          V1MeanUs = R.Stats.MeanLatencyUs;
-        else if (R.Mode == "v2-select")
-          V2MeanUs = R.Stats.MeanLatencyUs;
-      }
-    std::fprintf(Out, "  \"select_mean_us_pointer_api\": %.3f,\n", V1MeanUs);
-    std::fprintf(Out, "  \"select_mean_us_handle_api\": %.3f,\n", V2MeanUs);
+      if (R.Clients == 1 && R.TargetHitRatio == HitRatios.back() &&
+          R.Mode == "v2-select")
+        HandleMeanUs = R.Stats.MeanLatencyUs;
+    std::fprintf(Out, "  \"select_mean_us_handle_api\": %.3f,\n",
+                 HandleMeanUs);
   }
   // The compiled-hot-path gate pair (select-micro section above).
   std::fprintf(Out, "  \"select_micro_compiled_mean_us\": %.3f,\n",

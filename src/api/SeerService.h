@@ -100,8 +100,8 @@ struct ServiceConfig {
   RetryPolicy Retry;
 };
 
-/// One handle-based request. Owns its operand (unlike the deprecated
-/// pointer API), so an async submission has no lifetime strings attached:
+/// One handle-based request. Owns its operand (unlike ServeOptions, which
+/// borrows it), so an async submission has no lifetime strings attached:
 /// once admitted, the request is self-contained.
 struct Request {
   MatrixHandle Handle;
@@ -247,10 +247,9 @@ public:
 
   const KernelRegistry &registry() const { return Server.registry(); }
 
-  /// The wrapped server. Exposed for the deprecated pointer-based path
-  /// (bit-identity gates replay old traces through it) and for tests;
-  /// new clients should not need it.
-  SeerServer &server() { return Server; }
+  /// The wrapped server, read-only. Callers read its baselineKernel() to
+  /// check degraded answers; serving goes through the handle API above.
+  const SeerServer &server() const { return Server; }
 
 private:
   /// One live registration. Async tasks share ownership, so a released

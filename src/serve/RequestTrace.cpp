@@ -19,6 +19,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace seer;
@@ -51,12 +52,24 @@ std::vector<std::string> tokenize(const std::string &Line) {
   return Tokens;
 }
 
-Status parseIterations(const std::string &Token, uint32_t &Out) {
+/// Parses a count token that must lie in [1, Max]. Checked before the
+/// narrowing cast, so an out-of-range count is rejected naming its token
+/// instead of wrapping modulo 2^32.
+Status parseCount(const std::string &Token, const char *What, int64_t Max,
+                  uint32_t &Out) {
   int64_t Value = 0;
-  if (!parseInt(Token, Value) || Value < 1)
-    return Status::invalidArgument("bad iteration count '" + Token + "'");
+  if (!parseInt(Token, Value) || Value < 1 || Value > Max)
+    return Status::invalidArgument(std::string("bad ") + What + " '" + Token +
+                                   "' (must be in [1, " + std::to_string(Max) +
+                                   "])");
   Out = static_cast<uint32_t>(Value);
   return Status::okStatus();
+}
+
+constexpr int64_t MaxCount = std::numeric_limits<uint32_t>::max();
+
+Status parseIterations(const std::string &Token, uint32_t &Out) {
+  return parseCount(Token, "iteration count", MaxCount, Out);
 }
 
 /// Validates a `fault` directive without arming anything: `clear`,
@@ -127,12 +140,8 @@ Status seer::parseTraceLine(const std::string &Line, TraceCommand &Out) {
   if (Verb == "spans") {
     if (Tokens.size() != 2)
       return Fail("usage: spans N");
-    int64_t Count = 0;
-    if (!parseInt(Tokens[1], Count) || Count < 1)
-      return Fail("bad span count '" + Tokens[1] + "'");
     Out.Command = TraceCommand::Kind::Spans;
-    Out.SpanCount = static_cast<uint32_t>(Count);
-    return Status::okStatus();
+    return parseCount(Tokens[1], "span count", MaxCount, Out.SpanCount);
   }
 
   if (Verb == "load") {
@@ -183,11 +192,10 @@ Status seer::parseTraceLine(const std::string &Line, TraceCommand &Out) {
       return Fail("usage: batch NAME COUNT [ITERATIONS]");
     Out.Command = TraceCommand::Kind::Batch;
     Out.Name = Tokens[1];
-    int64_t Count = 0;
-    if (!parseInt(Tokens[2], Count) || Count < 1 || Count > 4096)
-      return Fail("bad batch operand count '" + Tokens[2] +
-                  "' (must be in [1, 4096])");
-    Out.BatchCount = static_cast<uint32_t>(Count);
+    if (const Status S =
+            parseCount(Tokens[2], "batch operand count", 4096, Out.BatchCount);
+        !S.ok())
+      return S;
     if (Tokens.size() == 4)
       if (const Status S = parseIterations(Tokens[3], Out.Iterations);
           !S.ok())
@@ -360,50 +368,6 @@ Expected<TraceScript> seer::readTraceFile(const std::string &Path) {
   std::ostringstream Buffer;
   Buffer << Stream.rdbuf();
   return parseTrace(Buffer.str());
-}
-
-//===----------------------------------------------------------------------===//
-// Deprecated pre-Status wrappers
-//===----------------------------------------------------------------------===//
-
-bool seer::parseTraceLine(const std::string &Line, TraceCommand &Out,
-                          std::string *ErrorMessage) {
-  const Status S = parseTraceLine(Line, Out);
-  if (S.ok())
-    return true;
-  if (ErrorMessage)
-    *ErrorMessage = S.message();
-  return false;
-}
-
-std::optional<CsrMatrix> seer::buildTraceMatrix(const TraceCommand &Command,
-                                                std::string *ErrorMessage) {
-  auto M = buildTraceMatrix(Command);
-  if (M)
-    return std::move(*M);
-  if (ErrorMessage)
-    *ErrorMessage = M.status().message();
-  return std::nullopt;
-}
-
-std::optional<TraceScript> seer::parseTrace(const std::string &Text,
-                                            std::string *ErrorMessage) {
-  auto Script = parseTrace(Text);
-  if (Script)
-    return std::move(*Script);
-  if (ErrorMessage)
-    *ErrorMessage = Script.status().message();
-  return std::nullopt;
-}
-
-std::optional<TraceScript> seer::readTraceFile(const std::string &Path,
-                                               std::string *ErrorMessage) {
-  auto Script = readTraceFile(Path);
-  if (Script)
-    return std::move(*Script);
-  if (ErrorMessage)
-    *ErrorMessage = Script.status().message();
-  return std::nullopt;
 }
 
 //===----------------------------------------------------------------------===//

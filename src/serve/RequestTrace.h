@@ -25,10 +25,11 @@
 ///
 /// Requests against a closed name are answered with a typed error line
 /// (see below) instead of a response line; the replay continues. Traces
-/// without the header parse as v1, which has no open/close and is served
-/// through the deprecated pointer-based path — bit-identity between the
-/// two replays of the same trace is asserted in serve_test and gated in
-/// BENCH_serving.json.
+/// without the header parse as v1, a subset: only setup commands and
+/// select/execute, with open/close/batch/fault/metrics/spans rejected at
+/// parse time. Both dialects replay through the same session path, so a
+/// headerless trace and the same trace behind a `seer-trace v2` header
+/// answer with identical response lines (CI diffs the two).
 ///
 /// Setup commands (define a named matrix; in v2 this also opens it):
 ///   load NAME PATH                   Matrix Market file
@@ -92,7 +93,6 @@
 #include "sparse/CsrMatrix.h"
 #include "support/Tracing.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -236,30 +236,6 @@ std::string formatSpanLines(const std::vector<TraceSpan> &Spans,
 /// Formats a failure as a protocol error line: `error CODE message`.
 /// \p Error must not be OK.
 std::string formatErrorLine(const Status &Error);
-
-/// \deprecated Pre-Status form of parseTraceLine: \returns false and
-/// fills \p ErrorMessage on a malformed line. Prefer the Status overload.
-[[deprecated("use the Status-returning parseTraceLine overload")]]
-bool parseTraceLine(const std::string &Line, TraceCommand &Out,
-                    std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of buildTraceMatrix. Prefer the Expected
-/// overload.
-[[deprecated("use the Expected-returning buildTraceMatrix overload")]]
-std::optional<CsrMatrix> buildTraceMatrix(const TraceCommand &Command,
-                                          std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of parseTrace. Prefer the Expected
-/// overload.
-[[deprecated("use the Expected-returning parseTrace overload")]]
-std::optional<TraceScript> parseTrace(const std::string &Text,
-                                      std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of readTraceFile. Prefer the Expected
-/// overload.
-[[deprecated("use the Expected-returning readTraceFile overload")]]
-std::optional<TraceScript> readTraceFile(const std::string &Path,
-                                         std::string *ErrorMessage);
 
 } // namespace seer
 

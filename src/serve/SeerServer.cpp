@@ -7,7 +7,6 @@
 #include "serve/SeerServer.h"
 
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 #include "support/Tracing.h"
 
 #include <cassert>
@@ -99,77 +98,9 @@ Expected<ServeResponse>
 SeerServer::handleRegistered(const RegisteredMatrix &Registered,
                              const ServeOptions &Options) {
   assert(Registered.valid() && "request against an empty registration");
-  // CacheHit = true: the analysis was paid at registration, so this
-  // request charges zero collection cost — exactly like a repeat-matrix
-  // hit on the deprecated path, and bit-identical to it.
   return serveEntry(*Registered.Matrix, Registered.Fingerprint,
-                    Registered.Entry, /*CacheHit=*/true, Options,
-                    std::chrono::steady_clock::now(),
-                    /*DegradeOnError=*/false);
-}
-
-ServeResponse SeerServer::handle(const ServeRequest &Request) {
-  assert(Request.Matrix && "request without a matrix");
-  // The clock starts before fingerprinting: the per-request O(nnz) hash
-  // and cache lookup are real service costs of this deprecated path (the
-  // very ones registration amortizes away), so they must show up in its
-  // latency telemetry.
-  const auto Start = std::chrono::steady_clock::now();
-  const CsrMatrix &M = *Request.Matrix;
-  const uint64_t Fingerprint = matrixFingerprint(M);
-  std::pair<std::shared_ptr<FingerprintCache::Entry>, bool> Looked;
-  try {
-    const StageClock Probe(SpanRecorder::instance().armed());
-    ScopedSpan ProbeSpan(spanname::CacheProbe);
-    Looked = Cache.lookupOrAnalyze(Fingerprint, M, Registry.size());
-    ProbeSpan.tag("hit", Looked.second ? 1.0 : 0.0);
-    recordStage(Probe, CacheProbeUs, nullptr, 0.0);
-  } catch (const std::bad_alloc &) {
-    // Allocation failure (injected or real) during analysis: this path
-    // has no error channel, so serve the baseline selection off a
-    // one-shot analysis, fully outside the cache.
-    ServeResponse R;
-    R.Degraded = true;
-    R.Fingerprint = Fingerprint;
-    R.Iterations = Request.Iterations ? Request.Iterations : 1;
-    R.Selection.KernelIndex = Baseline;
-    if (Request.Execute) {
-      const AnalyzedMatrix A =
-          Runtime.planner().analyze(M, /*WithFingerprint=*/false);
-      const std::vector<double> Ones =
-          Request.Operand ? std::vector<double>()
-                          : std::vector<double>(M.numCols(), 1.0);
-      const std::vector<double> &X = Request.Operand ? *Request.Operand : Ones;
-      SpmvRun Run = runBaseline(M, A.Stats, X);
-      R.Executed = true;
-      R.IterationMs = Run.Timing.TotalMs;
-      R.Y = std::move(Run.Y);
-      Executions.add();
-    }
-    R.ServiceMicros = microsSince(Start);
-    Requests.add();
-    DegradedServes.add();
-    Latency.record(R.ServiceMicros);
-    return R;
-  }
-  const auto &[Entry, Hit] = Looked;
-  // This path has no error channel and no deadline field, so every stage
-  // failure degrades (DegradeOnError) and the result is always a
-  // response.
-  Expected<ServeResponse> R = serveEntry(M, Fingerprint, Entry, Hit,
-                                         Request.options(), Start,
-                                         /*DegradeOnError=*/true);
-  assert(R.ok() && "v1 requests carry no deadline and degrade all failures");
-  if (!R) {
-    // Unreachable by construction; answer a degraded selection rather
-    // than crash if it ever is reached in a release build.
-    ServeResponse Fallback;
-    Fallback.Degraded = true;
-    Fallback.Selection.KernelIndex = Baseline;
-    Fallback.Fingerprint = Fingerprint;
-    return Fallback;
-  }
-  return std::move(*R);
+                    Registered.Entry, Options,
+                    std::chrono::steady_clock::now());
 }
 
 bool SeerServer::preparePlan(
@@ -244,9 +175,8 @@ Status SeerServer::finishError(Status Error,
 Expected<ServeResponse>
 SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
                        const std::shared_ptr<FingerprintCache::Entry> &Entry,
-                       bool CacheHit, const ServeOptions &Request,
-                       std::chrono::steady_clock::time_point Start,
-                       bool DegradeOnError) {
+                       const ServeOptions &Request,
+                       std::chrono::steady_clock::time_point Start) {
   const Planner &Pipeline = Runtime.planner();
   const AnalyzedMatrix A = Planner::adopt(M, Entry->Stats, Fingerprint);
   FaultInjector &Faults = FaultInjector::instance();
@@ -277,11 +207,12 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   ServeResponse R;
   R.Iterations = Request.Iterations ? Request.Iterations : 1;
   R.Fingerprint = Fingerprint;
-  R.CacheHit = CacheHit;
+  // Registration paid the analysis, so every request is a cache hit.
+  R.CacheHit = true;
 
-  // Stage: route + collect + select, with the collection charged only on
-  // a miss — on a hit the features come from the cache and the chosen
-  // kernel is bit-identical to the uncached path. A retryable failure
+  // Stage: route + collect + select. The features come from the entry
+  // registration analyzed, so collection is never charged and the chosen
+  // kernel is bit-identical to the one-shot path. A retryable failure
   // propagates typed (the session layer's RetryPolicy re-issues); a
   // terminal failure or an open breaker degrades to the baseline kernel.
   bool Degraded = false;
@@ -299,16 +230,15 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
     try {
       if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
         throw InjectedFaultError(std::move(F));
-      ExecutionPlan P = Pipeline.plan(A, R.Iterations,
-                                      CacheHit ? CollectionCharging::Precollected
-                                               : CollectionCharging::Charged);
+      ExecutionPlan P =
+          Pipeline.plan(A, R.Iterations, CollectionCharging::Precollected);
       SelectBreaker.recordSuccess();
       recordStage(Select, StageSelectUs, &CostErrorSelect,
                   P.Selection.overheadMs());
       return P;
     } catch (const InjectedFaultError &E) {
       SelectBreaker.recordFailure();
-      if (!DegradeOnError && E.status().isRetryable())
+      if (E.status().isRetryable())
         SelectFailure = E.status();
       else
         Degraded = true;
@@ -325,7 +255,7 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   if (!Degraded) {
     R.Selection = Plan.Selection;
     R.ModeledCollectionMs = Plan.ModeledCollectionMs;
-    if (CacheHit && Plan.Selection.UsedGatheredModel) {
+    if (Plan.Selection.UsedGatheredModel) {
       // Telemetry: the modeled collection cost this hit skipped (the
       // plan's collect stage evaluated only the cost formula — no matrix
       // walk happens on the precollected path).
@@ -369,7 +299,7 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
                     Plan.ModeledPreprocessMs);
       } catch (const InjectedFaultError &E) {
         PrepareBreaker.recordFailure();
-        if (!DegradeOnError && E.status().isRetryable())
+        if (E.status().isRetryable())
           return finishError(E.status(), Start);
         Degraded = true;
       } catch (const std::bad_alloc &) {
@@ -398,7 +328,7 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
           recordStage(RunClock, StageRunUs, &CostErrorRun, R.IterationMs);
         } catch (const InjectedFaultError &E) {
           RunBreaker.recordFailure();
-          if (!DegradeOnError && E.status().isRetryable())
+          if (E.status().isRetryable())
             return finishError(E.status(), Start);
           Degraded = true;
         } catch (const std::bad_alloc &) {
@@ -509,8 +439,7 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   // Commit telemetry before returning so stats() is consistent once the
   // caller has its response.
   Requests.add();
-  if (R.CacheHit)
-    CacheHits.add();
+  CacheHits.add();
   if (R.Selection.UsedGatheredModel)
     GatheredRoutes.add();
   if (R.Executed)
@@ -739,20 +668,6 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
   Latency.record(B.ServiceMicros);
   return B;
 }
-
-// The deprecated batch shim is defined in terms of the deprecated
-// single-request shim on purpose; silence the self-referential warning.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::vector<ServeResponse>
-SeerServer::handleBatch(const std::vector<ServeRequest> &Batch,
-                        unsigned Parallelism) {
-  std::vector<ServeResponse> Responses(Batch.size());
-  parallelFor(Parallelism, Batch.size(),
-              [&](size_t I) { Responses[I] = handle(Batch[I]); });
-  return Responses;
-}
-#pragma GCC diagnostic pop
 
 ServerStats SeerServer::stats() const {
   ServerStats S;

@@ -24,13 +24,11 @@
 ///    oracle on demand and aggregates mispredictions, hit rates and
 ///    latency percentiles into a `ServerStats` snapshot.
 ///
-/// Serving API v2 moves clients from per-request matrix pointers to
-/// *registered matrices*: registerMatrix() pays fingerprinting and
-/// analysis once and pins the cache entry for the registration's
-/// lifetime; handleRegistered() then serves selection/execution with no
-/// per-request hashing or cache lookup at all. The PR 2 pointer-based
-/// handle() remains as a deprecated shim so old traces can be replayed
-/// and compared bit-for-bit against the new path. The ergonomic,
+/// Clients serve *registered matrices*: registerMatrix() pays
+/// fingerprinting and analysis once and pins the cache entry for the
+/// registration's lifetime; handleRegistered() and
+/// executeBatchRegistered() then serve selection/execution with no
+/// per-request hashing or cache lookup at all. The ergonomic,
 /// Status-typed client surface over this (sessions, opaque handles,
 /// async submission) lives in api/SeerService.h.
 ///
@@ -43,8 +41,6 @@
 /// file mutates (see the MutexLock sections in SeerServer.cpp), and the
 /// counters/gauges here are lock-free atomics checked by TSan, not by
 /// capability analysis.
-/// handleBatch() fans a request vector out over the process-wide
-/// ThreadPool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -131,7 +127,7 @@ public:
   /// no cache lookup — the per-request cost registration amortized away.
   /// Feature collection is never re-charged (the analysis was paid at
   /// registration, so CacheHit is always true in the response).
-  /// Thread-safe, like handle().
+  /// Thread-safe.
   ///
   /// Failure semantics (PR 6): DEADLINE_EXCEEDED when Options.Deadline
   /// expired at admission or between pipeline stages; a *retryable*
@@ -159,23 +155,6 @@ public:
       const std::vector<std::vector<double>> &Operands,
       std::chrono::steady_clock::time_point Deadline =
           std::chrono::steady_clock::time_point::min());
-
-  /// \deprecated Serves one pointer-based request (the PR 2 API): the
-  /// matrix is re-fingerprinted and looked up on every call and must stay
-  /// alive for the duration of handle(). Kept as a shim so the
-  /// bit-identity gates can compare this path against handleRegistered()
-  /// on the same trace; new code should use api/SeerService.h.
-  [[deprecated("use registerMatrix()/handleRegistered() or the session API "
-               "in api/SeerService.h")]] ServeResponse
-  handle(const ServeRequest &Request);
-
-  /// \deprecated Serves a batch of pointer-based requests, fanning out
-  /// over the process-wide pool with the pipeline's parallelism
-  /// convention (0 = hardware threads, 1 = serial). Responses are in
-  /// request order. Same migration note as handle().
-  [[deprecated("use registerMatrix()/executeBatchRegistered() or the "
-               "session API in api/SeerService.h")]] std::vector<ServeResponse>
-  handleBatch(const std::vector<ServeRequest> &Batch, unsigned Parallelism);
 
   /// Telemetry snapshot, assembled from the metrics registry (which is
   /// the single source of truth — ServerStats is a *view*). The counters
@@ -208,19 +187,15 @@ public:
   size_t baselineKernel() const { return Baseline; }
 
 private:
-  /// The shared request path: one Planner-built ExecutionPlan (selection,
-  /// optional preparation + execution + oracle verification) against an
-  /// already-resolved cache entry. \p Start is when the request entered
-  /// the server (before fingerprinting on the deprecated path), so
-  /// latency telemetry reflects what each API actually costs per request.
-  /// With \p DegradeOnError (the deprecated no-error-channel v1 path),
-  /// retryable stage failures degrade like terminal ones instead of
-  /// propagating typed.
+  /// The single-request path behind handleRegistered(): one Planner-built
+  /// ExecutionPlan (selection, optional preparation + execution + oracle
+  /// verification) against the registration's pinned cache entry.
+  /// \p Start is when the request entered the server.
   Expected<ServeResponse>
   serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
-             const std::shared_ptr<FingerprintCache::Entry> &E, bool CacheHit,
+             const std::shared_ptr<FingerprintCache::Entry> &E,
              const ServeOptions &Options,
-             std::chrono::steady_clock::time_point Start, bool DegradeOnError);
+             std::chrono::steady_clock::time_point Start);
 
   /// Runs one baseline-kernel SpMV directly (no Planner stages, no fault
   /// sites, no preprocessing) — the degraded execution path.

@@ -26,11 +26,6 @@
 #include <limits>
 #include <thread>
 
-// The deprecated pointer-based v1 entry points are part of what this file
-// tests (the v1-vs-v2 bit-identity contract depends on them), so their
-// deprecation warnings are silenced here on purpose.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 using namespace seer;
 
 namespace {
@@ -75,6 +70,37 @@ const std::vector<CsrMatrix> &requestPool() {
   return Pool;
 }
 
+/// Zero-copy registration of a pool matrix (the pool outlives servers).
+RegisteredMatrix registerAliased(SeerServer &Server, const CsrMatrix &M) {
+  return Server.registerMatrix(
+      std::shared_ptr<const CsrMatrix>(std::shared_ptr<void>(), &M));
+}
+
+/// One request the way every client issues it: register \p M, serve
+/// against the registration, release it. Registration pays the analysis
+/// on a cache miss and reuses it on a hit; the release re-polices the
+/// cache budget, so a serial stream of these is within budget after
+/// every call.
+ServeResponse serveOnce(SeerServer &Server, const CsrMatrix &M,
+                        const ServeOptions &Options) {
+  const RegisteredMatrix Registered = registerAliased(Server, M);
+  Expected<ServeResponse> Response =
+      Server.handleRegistered(Registered, Options);
+  Server.releaseMatrix(Registered);
+  EXPECT_TRUE(Response) << Response.status().toString();
+  return Response ? std::move(*Response) : ServeResponse();
+}
+
+/// ServeOptions for \p Iterations, optionally executing and verifying.
+ServeOptions options(uint32_t Iterations, bool Execute = false,
+                     bool VerifyOracle = false) {
+  ServeOptions Options;
+  Options.Iterations = Iterations;
+  Options.Execute = Execute;
+  Options.VerifyOracle = VerifyOracle;
+  return Options;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -113,10 +139,7 @@ TEST(SeerServerTest, SelectionsMatchRuntimeSerially) {
   for (const CsrMatrix &M : requestPool())
     for (const uint32_t Iterations : {1u, 5u, 19u}) {
       const SelectionResult Direct = Reference.select(M, Iterations);
-      ServeRequest Request;
-      Request.Matrix = &M;
-      Request.Iterations = Iterations;
-      const ServeResponse Response = Server.handle(Request);
+      const ServeResponse Response = serveOnce(Server, M, options(Iterations));
       EXPECT_EQ(Response.Selection.KernelIndex, Direct.KernelIndex);
       EXPECT_EQ(Response.Selection.UsedGatheredModel,
                 Direct.UsedGatheredModel);
@@ -148,10 +171,9 @@ TEST(SeerServerTest, ConcurrentClientsBitIdentical) {
       for (size_t R = 0; R < RequestsPerClient; ++R) {
         const size_t MatrixIndex = (C + R) % Pool.size();
         const size_t IterIndex = R % 3;
-        ServeRequest Request;
-        Request.Matrix = &Pool[MatrixIndex];
-        Request.Iterations = IterationPattern[IterIndex];
-        const ServeResponse Response = Server.handle(Request);
+        const ServeResponse Response =
+            serveOnce(Server, Pool[MatrixIndex],
+                      options(IterationPattern[IterIndex]));
         const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
         if (Response.Selection.KernelIndex != Expected.KernelIndex ||
             Response.Selection.UsedGatheredModel !=
@@ -171,37 +193,10 @@ TEST(SeerServerTest, ConcurrentClientsBitIdentical) {
   EXPECT_EQ(Stats.Requests, Stats.KnownRoutes + Stats.GatheredRoutes);
   EXPECT_EQ(Stats.CachedMatrices, Pool.size());
   EXPECT_EQ(Stats.LatencySamples, Stats.Requests);
-  // Every matrix is requested many times; almost all requests hit. At
-  // minimum the non-first touch of each matrix must have hit.
-  EXPECT_GE(Stats.CacheHits,
-            NumClients * RequestsPerClient - Pool.size() * NumClients);
-}
-
-TEST(SeerServerTest, CacheHitChargesZeroCollection) {
-  SeerServer Server(tinyModels());
-  for (const CsrMatrix &M : requestPool()) {
-    ServeRequest Request;
-    Request.Matrix = &M;
-    Request.Iterations = 5;
-    const ServeResponse First = Server.handle(Request);
-    const ServeResponse Second = Server.handle(Request);
-    EXPECT_FALSE(First.CacheHit);
-    EXPECT_TRUE(Second.CacheHit);
-    // Same decision, but the hit charges no collection cost even when the
-    // gathered model was consulted.
-    EXPECT_EQ(Second.Selection.KernelIndex, First.Selection.KernelIndex);
-    EXPECT_EQ(Second.Selection.UsedGatheredModel,
-              First.Selection.UsedGatheredModel);
-    EXPECT_EQ(Second.Selection.FeatureCollectionMs, 0.0);
-    if (First.Selection.UsedGatheredModel) {
-      EXPECT_GT(First.Selection.FeatureCollectionMs, 0.0);
-    }
-  }
-  // The pool's gathered-routed matrices saved their collection cost.
-  const ServerStats Stats = Server.stats();
-  if (Stats.GatheredRoutes > 0) {
-    EXPECT_GT(Stats.SavedCollectionMs, 0.0);
-  }
+  // Every request registered its matrix and released it again.
+  EXPECT_EQ(Stats.Registrations, Stats.Requests);
+  EXPECT_EQ(Stats.ActiveHandles, 0u);
+  EXPECT_EQ(Stats.PinnedMatrices, 0u);
 }
 
 TEST(SeerServerTest, PreprocessingAmortizedAcrossRequests) {
@@ -213,12 +208,8 @@ TEST(SeerServerTest, PreprocessingAmortizedAcrossRequests) {
   const ExecutionReport Direct = Reference.execute(M, X, 19);
 
   SeerServer Server(tinyModels());
-  ServeRequest Request;
-  Request.Matrix = &M;
-  Request.Iterations = 19;
-  Request.Execute = true;
-  const ServeResponse First = Server.handle(Request);
-  const ServeResponse Second = Server.handle(Request);
+  const ServeResponse First = serveOnce(Server, M, options(19, true));
+  const ServeResponse Second = serveOnce(Server, M, options(19, true));
 
   // First execution pays exactly what the one-shot runtime pays.
   EXPECT_EQ(First.Selection.KernelIndex, Direct.Selection.KernelIndex);
@@ -253,11 +244,7 @@ TEST(SeerServerTest, ConcurrentExecutionsShareTheLedger) {
   for (size_t C = 0; C < NumClients; ++C)
     Clients.emplace_back([&, C] {
       for (size_t R = 0; R < PerClient; ++R) {
-        ServeRequest Request;
-        Request.Matrix = &M;
-        Request.Iterations = 5;
-        Request.Execute = true;
-        const ServeResponse Response = Server.handle(Request);
+        const ServeResponse Response = serveOnce(Server, M, options(5, true));
         if (R == 0)
           FirstY[C] = Response.Y;
       }
@@ -279,12 +266,8 @@ TEST(SeerServerTest, OracleFeedbackCountsMispredictions) {
   SeerServer Server(tinyModels());
   uint64_t ExpectedMispredictions = 0;
   for (const CsrMatrix &M : requestPool()) {
-    ServeRequest Request;
-    Request.Matrix = &M;
-    Request.Iterations = 5;
-    Request.Execute = true;
-    Request.VerifyOracle = true;
-    const ServeResponse Response = Server.handle(Request);
+    const ServeResponse Response =
+        serveOnce(Server, M, options(5, true, true));
     ASSERT_TRUE(Response.OracleChecked);
     EXPECT_EQ(Response.Mispredicted,
               Response.OracleKernelIndex != Response.Selection.KernelIndex);
@@ -302,39 +285,18 @@ TEST(SeerServerTest, OracleFeedbackCountsMispredictions) {
                 static_cast<double>(requestPool().size()));
 }
 
-TEST(SeerServerTest, HandleBatchMatchesSerialHandling) {
-  const std::vector<CsrMatrix> &Pool = requestPool();
-  std::vector<ServeRequest> Batch;
-  for (size_t I = 0; I < 48; ++I) {
-    ServeRequest Request;
-    Request.Matrix = &Pool[I % Pool.size()];
-    Request.Iterations = 1 + static_cast<uint32_t>(I % 7);
-    Batch.push_back(Request);
-  }
-  SeerServer Serial(tinyModels());
-  SeerServer Parallel(tinyModels());
-  const std::vector<ServeResponse> A = Serial.handleBatch(Batch, 1);
-  const std::vector<ServeResponse> B = Parallel.handleBatch(Batch, 8);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Selection.KernelIndex, B[I].Selection.KernelIndex);
-    EXPECT_EQ(A[I].Selection.UsedGatheredModel,
-              B[I].Selection.UsedGatheredModel);
-  }
-}
-
 TEST(SeerServerTest, StatsResetZeroesTelemetryButKeepsCache) {
   SeerServer Server(tinyModels());
-  ServeRequest Request;
-  Request.Matrix = &requestPool()[0];
-  Server.handle(Request);
+  serveOnce(Server, requestPool()[0], options(1));
   Server.resetStats();
   const ServerStats Stats = Server.stats();
   EXPECT_EQ(Stats.Requests, 0u);
   EXPECT_EQ(Stats.LatencySamples, 0u);
   EXPECT_EQ(Stats.CachedMatrices, 1u); // the cache survives
-  // And the cached matrix still hits.
-  EXPECT_TRUE(Server.handle(Request).CacheHit);
+  // And the next registration of the matrix reuses its cached analysis.
+  const RegisteredMatrix Again = registerAliased(Server, requestPool()[0]);
+  EXPECT_TRUE(Again.AnalysisReused);
+  Server.releaseMatrix(Again);
 }
 
 //===----------------------------------------------------------------------===//
@@ -482,16 +444,6 @@ TEST(PlannerTest, RouteFlipsWithIterationCount) {
 // Batched execution
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Zero-copy registration of a pool matrix (the pool outlives servers).
-RegisteredMatrix registerAliased(SeerServer &Server, const CsrMatrix &M) {
-  return Server.registerMatrix(
-      std::shared_ptr<const CsrMatrix>(std::shared_ptr<void>(), &M));
-}
-
-} // namespace
-
 TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
   const CsrMatrix &M = requestPool()[1];
   const auto Operands = buildBatchOperands(6, M.numCols());
@@ -562,11 +514,8 @@ TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
 
 TEST(CacheBudgetTest, ZeroBudgetIsUnboundedButAccounted) {
   SeerServer Server(tinyModels());
-  for (const CsrMatrix &M : requestPool()) {
-    ServeRequest Request;
-    Request.Matrix = &M;
-    Server.handle(Request);
-  }
+  for (const CsrMatrix &M : requestPool())
+    serveOnce(Server, M, options(1));
   const ServerStats Stats = Server.stats();
   EXPECT_EQ(Stats.CacheBudgetBytes, 0u);
   EXPECT_EQ(Stats.Evictions, 0u);
@@ -590,12 +539,8 @@ TEST(CacheBudgetTest, ChurnStaysWithinBudgetAndBitIdentical) {
   uint64_t WorkingSet = 0;
   {
     SeerServer Unbounded(tinyModels());
-    for (const CsrMatrix &M : Pool) {
-      ServeRequest Request;
-      Request.Matrix = &M;
-      Request.Iterations = 5;
-      Unbounded.handle(Request);
-    }
+    for (const CsrMatrix &M : Pool)
+      serveOnce(Unbounded, M, options(5));
     WorkingSet = Unbounded.stats().BytesCached;
   }
 
@@ -605,15 +550,14 @@ TEST(CacheBudgetTest, ChurnStaysWithinBudgetAndBitIdentical) {
   SeerServer Server(tinyModels(), Config);
   for (int Pass = 0; Pass < 3; ++Pass)
     for (size_t I = 0; I < Pool.size(); ++I) {
-      ServeRequest Request;
-      Request.Matrix = &Pool[I];
-      Request.Iterations = 5;
-      const ServeResponse Response = Server.handle(Request);
+      const ServeResponse Response = serveOnce(Server, Pool[I], options(5));
       // Evicted-then-revisited matrices re-analyze deterministically: the
       // kernel choice never changes.
       EXPECT_EQ(Response.Selection.KernelIndex, Direct[I].KernelIndex);
       EXPECT_EQ(Response.Selection.UsedGatheredModel,
                 Direct[I].UsedGatheredModel);
+      // Strict after every request: serial, so the release that ends it
+      // has re-policed the budget with nothing else pinned.
       EXPECT_LE(Server.stats().BytesCached, Config.CacheBudgetBytes);
     }
 
@@ -633,11 +577,7 @@ TEST(CacheBudgetTest, EvictionRechargesPreprocessingPerResidency) {
   uint64_t OneEntryBytes = 0;
   {
     SeerServer Unbounded(tinyModels());
-    ServeRequest Request;
-    Request.Matrix = &A;
-    Request.Iterations = 19;
-    Request.Execute = true;
-    Unbounded.handle(Request);
+    serveOnce(Unbounded, A, options(19, true));
     OneEntryBytes = Unbounded.stats().BytesCached;
   }
 
@@ -648,22 +588,18 @@ TEST(CacheBudgetTest, EvictionRechargesPreprocessingPerResidency) {
   Config.CacheBudgetBytes = static_cast<size_t>(OneEntryBytes);
   SeerServer Server(tinyModels(), Config);
 
-  ServeRequest ExecA;
-  ExecA.Matrix = &A;
-  ExecA.Iterations = 19;
-  ExecA.Execute = true;
-  const ServeResponse First = Server.handle(ExecA);
+  const ServeResponse First = serveOnce(Server, A, options(19, true));
   EXPECT_FALSE(First.PreprocessAmortized);
 
-  // B's executed entry pushes the shard over budget; A is the LRU victim.
-  ServeRequest ExecB = ExecA;
-  ExecB.Matrix = &B;
-  Server.handle(ExecB);
+  // B's registration pushes the shard over budget; A is the LRU victim.
+  serveOnce(Server, B, options(19, true));
   EXPECT_LE(Server.stats().BytesCached, Config.CacheBudgetBytes);
 
   // A's return is a new residency: re-analyzed, re-charged, bit-identical.
-  const ServeResponse Second = Server.handle(ExecA);
-  EXPECT_FALSE(Second.CacheHit);
+  const RegisteredMatrix Returned = registerAliased(Server, A);
+  EXPECT_FALSE(Returned.AnalysisReused);
+  Server.releaseMatrix(Returned);
+  const ServeResponse Second = serveOnce(Server, A, options(19, true));
   EXPECT_FALSE(Second.PreprocessAmortized);
   EXPECT_EQ(Second.Selection.KernelIndex, First.Selection.KernelIndex);
   EXPECT_EQ(Second.PreprocessMs, First.PreprocessMs);
@@ -688,11 +624,7 @@ TEST(CacheBudgetTest, PlanReuseAcrossEvictionRebuildsBitIdentically) {
   uint64_t OneEntryBytes = 0;
   {
     SeerServer Unbounded(tinyModels());
-    ServeRequest Request;
-    Request.Matrix = &A;
-    Request.Iterations = 19;
-    Request.Execute = true;
-    Unbounded.handle(Request);
+    serveOnce(Unbounded, A, options(19, true));
     OneEntryBytes = Unbounded.stats().BytesCached;
   }
 
@@ -713,11 +645,7 @@ TEST(CacheBudgetTest, PlanReuseAcrossEvictionRebuildsBitIdentically) {
 
   // B's executed entry overflows the one-entry budget; A (no longer
   // pinned) is the victim.
-  ServeRequest ExecB;
-  ExecB.Matrix = &B;
-  ExecB.Iterations = 19;
-  ExecB.Execute = true;
-  Server.handle(ExecB);
+  serveOnce(Server, B, options(19, true));
 
   // A's return is a new residency: deterministic re-analysis, plan
   // rebuilt and re-charged, identical bits.
@@ -750,12 +678,7 @@ TEST(CacheBudgetTest, OracleShedsBeforeWholeEntries) {
   uint64_t FullBytes = 0;
   {
     SeerServer Unbounded(tinyModels());
-    ServeRequest Request;
-    Request.Matrix = &A;
-    Request.Iterations = 5;
-    Request.Execute = true;
-    Request.VerifyOracle = true;
-    Unbounded.handle(Request);
+    serveOnce(Unbounded, A, options(5, true, true));
     FullBytes = Unbounded.stats().BytesCached;
   }
 
@@ -763,12 +686,7 @@ TEST(CacheBudgetTest, OracleShedsBeforeWholeEntries) {
   Config.CacheShards = 1;
   Config.CacheBudgetBytes = static_cast<size_t>(FullBytes - 1);
   SeerServer Server(tinyModels(), Config);
-  ServeRequest Request;
-  Request.Matrix = &A;
-  Request.Iterations = 5;
-  Request.Execute = true;
-  Request.VerifyOracle = true;
-  const ServeResponse First = Server.handle(Request);
+  const ServeResponse First = serveOnce(Server, A, options(5, true, true));
 
   ServerStats Stats = Server.stats();
   EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
@@ -776,10 +694,13 @@ TEST(CacheBudgetTest, OracleShedsBeforeWholeEntries) {
   EXPECT_EQ(Stats.Evictions, 0u);
   EXPECT_EQ(Stats.CachedMatrices, 1u);
 
-  // The entry survived: still a hit, identical selection, and the next
-  // verify recomputes the (deterministic) oracle to the same verdict.
-  const ServeResponse Second = Server.handle(Request);
-  EXPECT_TRUE(Second.CacheHit);
+  // The entry survived: the next registration reuses its analysis, the
+  // selection is identical, and the next verify recomputes the
+  // (deterministic) oracle to the same verdict.
+  const RegisteredMatrix Again = registerAliased(Server, A);
+  EXPECT_TRUE(Again.AnalysisReused);
+  Server.releaseMatrix(Again);
+  const ServeResponse Second = serveOnce(Server, A, options(5, true, true));
   EXPECT_EQ(Second.Selection.KernelIndex, First.Selection.KernelIndex);
   EXPECT_TRUE(Second.OracleChecked);
   EXPECT_EQ(Second.OracleKernelIndex, First.OracleKernelIndex);
@@ -802,14 +723,18 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
   uint64_t WorkingSet = 0;
   {
     SeerServer Unbounded(tinyModels());
-    for (const CsrMatrix &M : Pool) {
-      ServeRequest Request;
-      Request.Matrix = &M;
-      Unbounded.handle(Request);
-    }
+    for (const CsrMatrix &M : Pool)
+      serveOnce(Unbounded, M, options(1));
     WorkingSet = Unbounded.stats().BytesCached;
   }
 
+  // Every client pins the entry it is serving, and pinned bytes count
+  // against the budget by design (serve/FingerprintCache.h), so with 8
+  // clients a sample taken mid-stream may read over budget. The strict
+  // per-sample check lives on the unpinned cache path
+  // (UnpinnedConcurrentChurnNeverExceedsBudget); here the answers must
+  // stay bit-identical, the churn must really evict, and the cache must
+  // be back within budget once every client has released and joined.
   ServerConfig Config;
   Config.CacheShards = 2;
   Config.CacheBudgetBytes = static_cast<size_t>(WorkingSet / 3);
@@ -823,19 +748,15 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
       for (size_t R = 0; R < RequestsPerClient; ++R) {
         const size_t MatrixIndex = (C + R) % Pool.size();
         const size_t IterIndex = R % 3;
-        ServeRequest Request;
-        Request.Matrix = &Pool[MatrixIndex];
-        Request.Iterations = IterationPattern[IterIndex];
-        const ServeResponse Response = Server.handle(Request);
+        const ServeResponse Response =
+            serveOnce(Server, Pool[MatrixIndex],
+                      options(IterationPattern[IterIndex]));
         const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
         if (Response.Selection.KernelIndex != Expected.KernelIndex ||
             Response.Selection.UsedGatheredModel !=
                 Expected.UsedGatheredModel)
           Failures[C] = "client " + std::to_string(C) + " request " +
                         std::to_string(R) + " diverged under churn";
-        if (Server.stats().BytesCached > Config.CacheBudgetBytes)
-          Failures[C] = "client " + std::to_string(C) + " request " +
-                        std::to_string(R) + " saw the cache over budget";
       }
     });
   for (std::thread &T : Clients)
@@ -845,8 +766,69 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
 
   const ServerStats Stats = Server.stats();
   EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
+  EXPECT_EQ(Stats.PinnedMatrices, 0u);
   EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
   EXPECT_GT(Stats.Evictions, 0u);
+  EXPECT_GT(Stats.Reanalyses, 0u);
+}
+
+TEST(CacheBudgetTest, UnpinnedConcurrentChurnNeverExceedsBudget) {
+  // With no pins, every shard polices its slice under its own lock on
+  // each insertion and each mutation, so no sample may ever read over
+  // budget — however the 8 threads interleave. Odd requests also grow
+  // their entry (a stand-in oracle sweep) and report it through
+  // noteMutation, which drives both eviction stages.
+  const std::vector<CsrMatrix> &Pool = requestPool();
+  const size_t NumKernels = KernelRegistry().size();
+  std::vector<uint64_t> Fingerprints;
+  for (const CsrMatrix &M : Pool)
+    Fingerprints.push_back(matrixFingerprint(M));
+
+  uint64_t WorkingSet = 0;
+  {
+    FingerprintCache Unbounded(2);
+    for (size_t I = 0; I < Pool.size(); ++I)
+      Unbounded.lookupOrAnalyze(Fingerprints[I], Pool[I], NumKernels);
+    WorkingSet = Unbounded.stats().BytesCached;
+  }
+
+  const size_t Budget = static_cast<size_t>(WorkingSet / 3);
+  FingerprintCache Cache(2, Budget);
+  constexpr size_t NumThreads = 8;
+  constexpr size_t RequestsPerThread = 40;
+  std::vector<std::string> Failures(NumThreads);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (size_t R = 0; R < RequestsPerThread; ++R) {
+        const size_t I = (T + R) % Pool.size();
+        const std::shared_ptr<FingerprintCache::Entry> E =
+            Cache.lookupOrAnalyze(Fingerprints[I], Pool[I], NumKernels,
+                                  /*Pin=*/false)
+                .first;
+        if (R % 2 == 1) {
+          {
+            MutexLock Lock(E->Mutex);
+            E->Oracle.assign(NumKernels, KernelMeasurement());
+          }
+          Cache.noteMutation(E);
+        }
+        if (Cache.stats().BytesCached > Budget)
+          Failures[T] = "thread " + std::to_string(T) + " request " +
+                        std::to_string(R) + " saw the cache over budget";
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::string &Failure : Failures)
+    EXPECT_TRUE(Failure.empty()) << Failure;
+
+  const FingerprintCache::Stats Stats = Cache.stats();
+  EXPECT_LE(Stats.BytesCached, Budget);
+  EXPECT_EQ(Stats.PinnedEntries, 0u);
+  EXPECT_GT(Stats.Evictions, 0u);
+  EXPECT_GT(Stats.PartialEvictions, 0u);
+  EXPECT_GT(Stats.Reanalyses, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -927,6 +909,22 @@ TEST(RequestTraceTest, ParsesCommandsAndRejectsGarbage) {
   EXPECT_FALSE(parseTraceLine("select web 5 verify", Command).ok());
   EXPECT_FALSE(parseTraceLine("frobnicate web", Command).ok());
   EXPECT_FALSE(parseTraceLine("gen web banded ten 8 0.9 42", Command).ok());
+
+  // Counts above UINT32_MAX are rejected at parse time, naming the token,
+  // instead of wrapping modulo 2^32 (4294967301 would serve 5 iterations).
+  for (const std::string Line : {"execute m 4294967301", "select m 4294967296",
+                                 "batch m 4 4294967296", "spans 4294967296"}) {
+    const Status S = parseTraceLine(Line, Command);
+    ASSERT_FALSE(S.ok()) << Line;
+    EXPECT_EQ(S.code(), StatusCode::InvalidArgument) << Line;
+    const std::string Token = Line.substr(Line.rfind(' ') + 1);
+    EXPECT_NE(S.message().find("'" + Token + "'"), std::string::npos)
+        << Line << ": " << S.message();
+  }
+  ASSERT_TRUE(parseTraceLine("select m 4294967295", Command).ok());
+  EXPECT_EQ(Command.Iterations, std::numeric_limits<uint32_t>::max());
+  ASSERT_TRUE(parseTraceLine("spans 4294967295", Command).ok());
+  EXPECT_EQ(Command.SpanCount, std::numeric_limits<uint32_t>::max());
 }
 
 TEST(RequestTraceTest, ParsesBatchCommands) {
@@ -996,11 +994,9 @@ TEST(RequestTraceTest, ParsesWholeTraceAndServesIt) {
 
   SeerServer Server(tinyModels());
   for (const TraceScript::Op &Op : Script->Ops) {
-    ServeRequest Request;
-    Request.Matrix = &Script->Matrices[Op.MatrixIndex].second;
-    Request.Iterations = Op.Iterations;
-    Request.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-    const ServeResponse Response = Server.handle(Request);
+    const ServeResponse Response = serveOnce(
+        Server, Script->Matrices[Op.MatrixIndex].second,
+        options(Op.Iterations, Op.Command == TraceScript::Op::Kind::Execute));
     const std::string Line = formatResponseLine(
         Script->Matrices[Op.MatrixIndex].first, Response,
         Server.registry());
@@ -1085,36 +1081,27 @@ TEST(RequestTraceTest, BatchResponseLinesCarryPerBatchCharges) {
   Server.releaseMatrix(Reg);
 }
 
-TEST(RequestTraceTest, HandlePathBitIdenticalToPointerPathOnSameTrace) {
-  // The acceptance gate of the v2 redesign: replaying one trace through
-  // the deprecated pointer-based handle() and through session handles
-  // must produce the same kernel choices, routing, charged preprocessing
-  // and product vectors, request by request.
+TEST(RequestTraceTest, HandlePathBitIdenticalToOneShotRuntimeOnSameTrace) {
+  // The serving answers stay the one-shot runtime's answers: one trace
+  // replayed through session handles matches SeerRuntime request by
+  // request in kernel choice, routing and product bits, while the ledger
+  // amortizes the repeat execution's preprocessing.
   const std::string Text = "gen a banded 512 4 0.9 1\n"
                            "gen b powerlaw 512 1.8 1 64 2\n"
                            "gen c uniform 256 256 12 0.5 3\n"
                            "select a 1\n"
                            "execute b 19\n"
                            "select a 5\n"
-                           "execute b 19\n" // amortized on both paths
+                           "execute b 19\n" // amortized: b's plan is paid
                            "execute c 5 verify\n"
                            "select b 19\n";
   const auto Script = parseTrace(Text);
   ASSERT_TRUE(Script) << Script.status().toString();
 
-  // Old path: one server, pointer requests.
-  SeerServer Old(tinyModels());
-  std::vector<ServeResponse> OldResponses;
-  for (const TraceScript::Op &Op : Script->Ops) {
-    ServeRequest Request;
-    Request.Matrix = &Script->Matrices[Op.MatrixIndex].second;
-    Request.Iterations = Op.Iterations;
-    Request.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-    Request.VerifyOracle = Op.Verify;
-    OldResponses.push_back(Old.handle(Request));
-  }
+  const KernelRegistry Registry;
+  const GpuSimulator Sim(DeviceModel::mi100());
+  const SeerRuntime Reference(tinyModels(), Registry, Sim);
 
-  // New path: one service, matrices registered once, handle requests.
   SeerService Service(tinyModels());
   std::vector<MatrixHandle> Handles;
   for (const auto &[Name, M] : Script->Matrices) {
@@ -1122,8 +1109,11 @@ TEST(RequestTraceTest, HandlePathBitIdenticalToPointerPathOnSameTrace) {
     ASSERT_TRUE(Handle) << Handle.status().toString();
     Handles.push_back(*Handle);
   }
-  std::vector<ServeResponse> NewResponses;
-  for (const TraceScript::Op &Op : Script->Ops) {
+
+  std::vector<ServeResponse> Responses;
+  for (size_t I = 0; I < Script->Ops.size(); ++I) {
+    const TraceScript::Op &Op = Script->Ops[I];
+    const CsrMatrix &M = Script->Matrices[Op.MatrixIndex].second;
     Request R;
     R.Handle = Handles[Op.MatrixIndex];
     R.Iterations = Op.Iterations;
@@ -1131,29 +1121,44 @@ TEST(RequestTraceTest, HandlePathBitIdenticalToPointerPathOnSameTrace) {
     R.VerifyOracle = Op.Verify;
     const auto Response = Service.serve(R);
     ASSERT_TRUE(Response) << Response.status().toString();
-    NewResponses.push_back(*Response);
+    Responses.push_back(*Response);
+    // Registration pays the analysis, so every handle request is a hit.
+    EXPECT_TRUE(Response->CacheHit) << "op " << I;
+    EXPECT_EQ(Response->Fingerprint, matrixFingerprint(M)) << "op " << I;
+    EXPECT_EQ(Response->Executed, R.Execute) << "op " << I;
+    EXPECT_EQ(Response->OracleChecked, Op.Verify) << "op " << I;
+
+    const ExecutionReport Direct = Reference.execute(
+        M, std::vector<double>(M.numCols(), 1.0), Op.Iterations);
+    EXPECT_EQ(Response->Selection.KernelIndex, Direct.Selection.KernelIndex)
+        << "op " << I;
+    EXPECT_EQ(Response->Selection.UsedGatheredModel,
+              Direct.Selection.UsedGatheredModel)
+        << "op " << I;
+    // Collection is never charged per request, even on the gathered
+    // route; its modeled cost is still reported.
+    EXPECT_EQ(Response->Selection.FeatureCollectionMs, 0.0) << "op " << I;
+    EXPECT_EQ(Response->ModeledCollectionMs,
+              Direct.Selection.FeatureCollectionMs)
+        << "op " << I;
+    if (!R.Execute)
+      continue;
+    EXPECT_EQ(Response->IterationMs, Direct.IterationMs) << "op " << I;
+    EXPECT_EQ(Response->Y, Direct.Y) << "op " << I;
+    if (!Response->PreprocessAmortized) {
+      EXPECT_EQ(Response->PreprocessMs, Direct.PreprocessMs) << "op " << I;
+    }
   }
 
-  ASSERT_EQ(OldResponses.size(), NewResponses.size());
-  for (size_t I = 0; I < OldResponses.size(); ++I) {
-    const ServeResponse &A = OldResponses[I];
-    const ServeResponse &B = NewResponses[I];
-    EXPECT_EQ(A.Fingerprint, B.Fingerprint) << "op " << I;
-    EXPECT_EQ(A.Selection.KernelIndex, B.Selection.KernelIndex) << "op " << I;
-    EXPECT_EQ(A.Selection.UsedGatheredModel, B.Selection.UsedGatheredModel)
-        << "op " << I;
-    EXPECT_EQ(A.Executed, B.Executed) << "op " << I;
-    EXPECT_EQ(A.PreprocessAmortized, B.PreprocessAmortized) << "op " << I;
-    EXPECT_EQ(A.PreprocessMs, B.PreprocessMs) << "op " << I;
-    EXPECT_EQ(A.IterationMs, B.IterationMs) << "op " << I;
-    EXPECT_EQ(A.Y, B.Y) << "op " << I;
-    EXPECT_EQ(A.OracleChecked, B.OracleChecked) << "op " << I;
-    EXPECT_EQ(A.OracleKernelIndex, B.OracleKernelIndex) << "op " << I;
-    EXPECT_EQ(A.Mispredicted, B.Mispredicted) << "op " << I;
-    EXPECT_EQ(A.RegretMs, B.RegretMs) << "op " << I;
-    // Registration pays the analysis, so every handle request is a hit;
-    // the pointer path pays it on first touch of each matrix instead.
-    EXPECT_TRUE(B.CacheHit) << "op " << I;
+  // The first `execute b 19` pays b's preprocessing; the second reuses it.
+  EXPECT_FALSE(Responses[1].PreprocessAmortized);
+  EXPECT_TRUE(Responses[3].PreprocessAmortized);
+  EXPECT_EQ(Responses[3].PreprocessMs, 0.0);
+  EXPECT_EQ(Responses[3].Y, Responses[1].Y);
+  // Gathered-route requests saved their collection cost.
+  const ServerStats Stats = Service.stats();
+  if (Stats.GatheredRoutes > 0) {
+    EXPECT_GT(Stats.SavedCollectionMs, 0.0);
   }
 
   for (MatrixHandle Handle : Handles)
@@ -1240,32 +1245,4 @@ TEST(ModelBundleTest, MissingAndMalformedFilesAreErrors) {
   EXPECT_NE(Malformed.status().message().find("malformed"),
             std::string::npos);
   std::filesystem::remove_all(Dir);
-}
-
-TEST(ModelBundleTest, DeprecatedWrappersStillDelegate) {
-  // The pre-Status wrappers are kept (and marked [[deprecated]]) for
-  // embedders mid-migration; this is their one intentional use. They
-  // must surface exactly what the Status forms report.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const std::string Dir =
-      (std::filesystem::temp_directory_path() / "seer_bundle_deprecated")
-          .string();
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  const KernelRegistry Registry;
-  std::string Error;
-  EXPECT_FALSE(loadModelBundle(Dir, Registry.names(), &Error));
-  EXPECT_NE(Error.find("cannot open"), std::string::npos);
-  ASSERT_TRUE(storeModelBundle(tinyModels(), Dir, &Error)) << Error;
-  EXPECT_TRUE(loadModelBundle(Dir, Registry.names(), &Error).has_value());
-
-  TraceCommand Command;
-  EXPECT_TRUE(parseTraceLine("select web 5", Command, &Error));
-  EXPECT_FALSE(parseTraceLine("select web 0", Command, &Error));
-  EXPECT_NE(Error.find("iteration count"), std::string::npos);
-  EXPECT_FALSE(parseTrace("select nosuch 1\n", &Error).has_value());
-  EXPECT_NE(Error.find("unknown matrix"), std::string::npos);
-  std::filesystem::remove_all(Dir);
-#pragma GCC diagnostic pop
 }

@@ -10,11 +10,12 @@ Tree checks (always run; see README "Static analysis"):
     markers themselves from silently disappearing. A line may opt out
     with a preceding `// seer-lint: allow(<rule>) <reason>` comment.
 
- 2. Deprecated-API suppressions. Every `-Wdeprecated-declarations`
-    pragma must sit in a whitelisted file (the wrapper-coverage tests
-    and the v1-vs-v2 comparison harnesses) and carry a justification
-    comment; combined with the -Werror CI builds this means no internal
-    caller can quietly depend on a `[[deprecated]]` entry point.
+ 2. Deprecated-API suppressions. A `-Wdeprecated-declarations`
+    pragma must sit in a whitelisted file and carry a justification
+    comment. The whitelist is empty — the project has no deprecated
+    entry points left — so any suppression fails lint; combined with
+    the -Werror CI builds this means no caller can quietly depend on a
+    future `[[deprecated]]` entry point.
 
  3. Suppression hygiene. Every NOLINT marker in src/ names its check
     and carries a `: reason`; every SEER_NO_THREAD_SAFETY_ANALYSIS
@@ -79,25 +80,10 @@ ALLOW_RE = re.compile(r"seer-lint:\s*allow\(([a-z0-9-]+)\)\s*(\S.*)?")
 # Check 2: deprecated-API suppressions
 # --------------------------------------------------------------------------
 
-# Files allowed to suppress -Wdeprecated-declarations, and why. Everyone
-# else migrates to the Status/Expected entry points instead.
-DEPRECATION_WHITELIST = {
-    "src/serve/SeerServer.cpp":
-        "the deprecated batch shim delegates to the deprecated "
-        "single-request shim on purpose",
-    "tests/serve_test.cpp":
-        "the v1-vs-v2 bit-identity contract and the wrapper-coverage "
-        "test drive the deprecated entry points deliberately",
-    "tests/api_test.cpp":
-        "scoped region: eviction-pressure churn needs the pointer path "
-        "to insert unregistered entries",
-    "tests/fault_test.cpp":
-        "scoped region: the v1 degrade-on-error contract has no v2 "
-        "equivalent",
-    "bench/serving_throughput.cpp":
-        "the v1 grid compares the deprecated pointer path against the "
-        "handle API bit-for-bit",
-}
+# Files allowed to suppress -Wdeprecated-declarations, mapped to the
+# reason. Empty: every caller uses the Status/Expected entry points, and a
+# file added here needs a reason a reviewer accepts.
+DEPRECATION_WHITELIST = {}
 
 DEPRECATION_PRAGMA = '-Wdeprecated-declarations'
 

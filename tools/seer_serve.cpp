@@ -24,9 +24,9 @@
 // share one pinned cache entry), then the telemetry snapshot and a
 // throughput summary are printed. With a single client the per-request
 // response lines are printed too (in order), so a trace doubles as a
-// readable demo. Traces without a `seer-trace v2` header replay through
-// the server's handle API (each matrix registered once up front), with
-// the same selections PR 2's pointer-based path produced.
+// readable demo. A trace without a `seer-trace v2` header is the same
+// replay restricted at parse time to setup, select and execute lines, so
+// it answers line for line what the trace answers behind the header.
 //
 // The protocol grammar is documented in serve/RequestTrace.h and the
 // README's "Serving" section.
@@ -63,11 +63,11 @@ constexpr const char *Usage =
     "Serves Fig. 3 kernel selection from the .tree models in DIR. Without\n"
     "--trace, reads the line protocol from stdin (try 'gen m banded 1000 8\n"
     "0.9 1' then 'select m 5', 'stats', 'quit'). With --trace, replays the\n"
-    "scripted request trace and prints telemetry. Traces with a\n"
-    "'seer-trace v2' header replay through session handles (open/close\n"
-    "scriptable, 'batch NAME COUNT [ITERATIONS]' runs one execution plan\n"
-    "over COUNT deterministic operands); headerless traces replay through\n"
-    "the server handle API with every matrix registered up front.\n"
+    "scripted request trace and prints telemetry. Every trace replays\n"
+    "through session handles. A 'seer-trace v2' header unlocks open/close,\n"
+    "'batch NAME COUNT [ITERATIONS]' (one execution plan over COUNT\n"
+    "deterministic operands), fault, metrics and spans; a headerless trace\n"
+    "may only define matrices and select/execute.\n"
     "\n"
     "options:\n"
     "  --models DIR        directory with seer_{known,gathered,selector}.tree\n"
@@ -151,11 +151,13 @@ struct SpanSink {
 
 SpanSink Sink;
 
-/// One client's replay of a v2 trace: registers its own handles for the
-/// trace's matrices and walks the operation sequence. Response/error
-/// lines are printed only when \p Print (single-client mode). \returns
-/// the number of operations answered with an error line — counted even
-/// when nothing is printed, so --strict works at any client count.
+/// One client's replay of a trace (headerless or v2 — the headerless
+/// dialect is a parse-time subset, so one replay serves both): registers
+/// its own handles for the trace's matrices and walks the operation
+/// sequence. Response/error lines are printed only when \p Print
+/// (single-client mode). \returns the number of operations answered with
+/// an error line — counted even when nothing is printed, so --strict
+/// works at any client count.
 uint64_t replayV2(SeerService &Service, const TraceScript &Script,
                   unsigned Repeat, bool Print) {
   uint64_t Errors = 0;
@@ -286,52 +288,6 @@ uint64_t replayV2(SeerService &Service, const TraceScript &Script,
   return Errors;
 }
 
-/// One client's replay of a headerless (v1) trace through the handle
-/// API: every trace matrix is registered once up front (fingerprint and
-/// analysis paid there, as registration defines), then each op serves
-/// against its registration. Selections and Y vectors are bit-identical
-/// to the deprecated pointer-based shim this replaced; the differences
-/// are the ones registration is *for* — responses report CacheHit
-/// uniformly (the analysis is always amortized) and failures surface as
-/// typed error lines instead of silent degradation. \returns the number
-/// of error-line outcomes (v1 traces carry no fault ops, so this is 0
-/// unless a fault plan was armed from outside the trace).
-uint64_t replayV1(SeerServer &Server, const TraceScript &Script,
-                  unsigned Repeat, bool Print, const KernelRegistry &Registry) {
-  // Zero-copy registration, as in replayV2: the parsed script outlives
-  // this replay, so the registrations alias its matrices.
-  std::vector<RegisteredMatrix> Handles;
-  Handles.reserve(Script.Matrices.size());
-  for (const auto &Named : Script.Matrices)
-    Handles.push_back(Server.registerMatrix(std::shared_ptr<const CsrMatrix>(
-        std::shared_ptr<void>(), &Named.second)));
-
-  uint64_t Errors = 0;
-  for (unsigned K = 0; K < Repeat; ++K)
-    for (const TraceScript::Op &Op : Script.Ops) {
-      ServeOptions Options;
-      Options.Iterations = Op.Iterations;
-      Options.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-      Options.VerifyOracle = Op.Verify;
-      const Expected<ServeResponse> Response =
-          Server.handleRegistered(Handles[Op.MatrixIndex], Options);
-      if (!Response) {
-        ++Errors;
-        if (Print)
-          std::printf("%s\n", formatErrorLine(Response.status()).c_str());
-      } else if (Print) {
-        std::printf("%s\n",
-                    formatResponseLine(Script.Matrices[Op.MatrixIndex].first,
-                                       *Response, Registry)
-                        .c_str());
-      }
-    }
-
-  for (const RegisteredMatrix &Handle : Handles)
-    Server.releaseMatrix(Handle);
-  return Errors;
-}
-
 /// Replays the trace with \p Clients concurrent clients and prints the
 /// telemetry snapshot plus a throughput summary. \returns the total
 /// number of error-line outcomes across all clients (the --strict gate).
@@ -340,12 +296,8 @@ uint64_t runTrace(SeerService &Service, const TraceScript &Script,
   const auto Start = std::chrono::steady_clock::now();
   std::atomic<uint64_t> Errors{0};
   const auto RunClient = [&](bool Print) {
-    const uint64_t ClientErrors =
-        Script.Version >= 2
-            ? replayV2(Service, Script, Repeat, Print)
-            : replayV1(Service.server(), Script, Repeat, Print,
-                       Service.registry());
-    Errors.fetch_add(ClientErrors, std::memory_order_relaxed);
+    Errors.fetch_add(replayV2(Service, Script, Repeat, Print),
+                     std::memory_order_relaxed);
   };
   if (Clients <= 1) {
     RunClient(/*Print=*/true);
