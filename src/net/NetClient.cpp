@@ -11,34 +11,43 @@ using namespace seer::net;
 
 namespace {
 
-/// Interprets a reply frame that should carry a T (RResponse / RBatch /
-/// ROpen / RText): an RStatus answer resolves to the typed Status it
-/// carries instead.
+/// Round-trips \p Request and decodes a reply that should carry a T
+/// (RResponse / RBatch / ROpen / RText / RHello): an RStatus answer
+/// resolves to the typed Status it carries instead.
 template <typename T, typename DecodeFn>
-Expected<T> interpret(const std::string &Reply, DecodeFn Decode) {
-  auto OpOr = frameOp(Reply);
+Expected<T> roundTrip(NetClient &Client, const std::string &Request,
+                      DecodeFn Decode) {
+  auto Reply = Client.call(Request);
+  if (!Reply.ok())
+    return Reply.status();
+  auto OpOr = frameOp(*Reply);
   if (!OpOr.ok())
     return OpOr.status();
   if (*OpOr == Op::RStatus) {
     Status Carried = Status::okStatus();
-    if (Status S = decodeStatusReply(Reply, Carried); !S.ok())
+    if (Status S = decodeStatusReply(*Reply, Carried); !S.ok())
       return S;
     if (Carried.ok())
       return Status::internal(
           "server acknowledged where a typed reply was expected");
     return Carried;
   }
-  return Decode(Reply);
+  return Decode(*Reply);
 }
 
-} // namespace
-
-Status NetClient::ackOf(const std::string &Reply) {
+/// Round-trips \p Request whose reply is an ack: RStatus carrying OK (or
+/// the typed failure it carries).
+Status ackCall(NetClient &Client, const std::string &Request) {
+  auto Reply = Client.call(Request);
+  if (!Reply.ok())
+    return Reply.status();
   Status Carried = Status::okStatus();
-  if (Status S = decodeStatusReply(Reply, Carried); !S.ok())
+  if (Status S = decodeStatusReply(*Reply, Carried); !S.ok())
     return S;
   return Carried;
 }
+
+} // namespace
 
 Expected<NetClient> NetClient::connect(const std::string &Host,
                                        uint16_t Port, size_t MaxFrameBytes) {
@@ -46,10 +55,8 @@ Expected<NetClient> NetClient::connect(const std::string &Host,
   if (!SockOr.ok())
     return SockOr.status();
   NetClient Client(std::move(*SockOr), MaxFrameBytes);
-  auto ReplyOr = Client.call(encodeHello());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  auto VersionOr = interpret<uint32_t>(*ReplyOr, decodeHelloReply);
+  auto VersionOr =
+      roundTrip<uint32_t>(Client, encodeHello(), decodeHelloReply);
   if (!VersionOr.ok())
     return VersionOr.status();
   if (*VersionOr != WireVersion)
@@ -73,70 +80,102 @@ Expected<std::string> NetClient::call(const std::string &RequestPayload) {
   return Reply;
 }
 
-Expected<OpenReply> NetClient::open(const std::string &Name,
-                                    const CsrMatrix &Matrix) {
-  auto ReplyOr = call(encodeOpen(Name, Matrix));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<OpenReply>(*ReplyOr, decodeOpenReply);
+Expected<Reply> NetClient::open(const std::string &Name,
+                                const CsrMatrix &Matrix) {
+  return roundTrip<Reply>(*this, encodeOpen(Name, Matrix), decodeOpenReply);
 }
 
 Status NetClient::close(uint64_t Handle) {
-  auto ReplyOr = call(encodeClose(Handle));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return ackOf(*ReplyOr);
+  return ackCall(*this, encodeClose(Handle));
 }
 
 Expected<ServeResponse> NetClient::select(uint64_t Handle,
                                           uint32_t Iterations) {
-  auto ReplyOr = call(encodeSelect(Handle, Iterations));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<ServeResponse>(*ReplyOr, decodeResponseReply);
+  return roundTrip<ServeResponse>(*this, encodeSelect(Handle, Iterations),
+                                  decodeResponseReply);
 }
 
 Expected<ServeResponse> NetClient::execute(uint64_t Handle,
                                            uint32_t Iterations, bool Verify,
                                            const std::vector<double> &Operand) {
-  auto ReplyOr = call(encodeExecute(Handle, Iterations, Verify, Operand));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<ServeResponse>(*ReplyOr, decodeResponseReply);
+  return roundTrip<ServeResponse>(
+      *this, encodeExecute(Handle, Iterations, Verify, Operand),
+      decodeResponseReply);
 }
 
 Expected<BatchResponse> NetClient::batch(uint64_t Handle, uint32_t Count,
                                          uint32_t Iterations) {
-  auto ReplyOr = call(encodeBatch(Handle, Count, Iterations));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<BatchResponse>(*ReplyOr, decodeBatchReply);
+  return roundTrip<BatchResponse>(*this, encodeBatch(Handle, Count, Iterations),
+                                  decodeBatchReply);
 }
 
 Status NetClient::fault(const std::string &Spec) {
-  auto ReplyOr = call(encodeFault(Spec));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return ackOf(*ReplyOr);
+  return ackCall(*this, encodeFault(Spec));
 }
 
 Expected<std::string> NetClient::statsText() {
-  auto ReplyOr = call(encodeStats());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<std::string>(*ReplyOr, decodeTextReply);
+  return roundTrip<std::string>(*this, encodeStats(), decodeTextReply);
 }
 
 Expected<std::string> NetClient::metricsText() {
-  auto ReplyOr = call(encodeMetrics());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<std::string>(*ReplyOr, decodeTextReply);
+  return roundTrip<std::string>(*this, encodeMetrics(), decodeTextReply);
 }
 
-Status NetClient::shutdownServer() {
-  auto ReplyOr = call(encodeShutdown());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return ackOf(*ReplyOr);
+Status NetClient::shutdownServer() { return ackCall(*this, encodeShutdown()); }
+
+Expected<Reply> NetClient::apply(const SessionOp &Op) {
+  Reply R;
+  Status S = Status::okStatus();
+  switch (Op.Type) {
+  case SessionOp::Kind::Open: {
+    // A shared CSR input is encoded as is; any other form is materialized
+    // here, so its ingestion errors surface before anything is sent.
+    const auto *Shared =
+        std::get_if<std::shared_ptr<const CsrMatrix>>(&Op.Matrix);
+    Expected<CsrMatrix> Built = CsrMatrix();
+    if (!Shared || !*Shared)
+      Built = materializeMatrixInput(Op.Matrix);
+    if (!Built)
+      return Built.status();
+    return open(Op.Name, Shared && *Shared ? **Shared : *Built);
+  }
+  case SessionOp::Kind::Close:
+    S = close(Op.Handle);
+    break;
+  case SessionOp::Kind::Fault:
+    S = fault(Op.FaultSpec);
+    break;
+  case SessionOp::Kind::Select:
+  case SessionOp::Kind::Execute: {
+    auto Response = Op.Type == SessionOp::Kind::Select
+                        ? select(Op.Handle, Op.Iterations)
+                        : execute(Op.Handle, Op.Iterations, Op.Verify,
+                                  Op.Operand);
+    if (!Response)
+      return Response.status();
+    R.Type = Reply::Kind::Response;
+    R.Response = std::move(*Response);
+    return R;
+  }
+  case SessionOp::Kind::Batch: {
+    auto Batch = batch(Op.Handle, Op.Count, Op.Iterations);
+    if (!Batch)
+      return Batch.status();
+    R.Type = Reply::Kind::Batch;
+    R.Batch = std::move(*Batch);
+    return R;
+  }
+  case SessionOp::Kind::Stats:
+  case SessionOp::Kind::Metrics: {
+    auto Text = Op.Type == SessionOp::Kind::Stats ? statsText() : metricsText();
+    if (!Text)
+      return Text.status();
+    R.Type = Reply::Kind::Text;
+    R.Text = std::move(*Text);
+    return R;
+  }
+  }
+  if (!S.ok())
+    return S;
+  return R; // an Ack
 }

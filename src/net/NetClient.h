@@ -18,6 +18,10 @@
 /// untouched — the shard balancer's forwarding path, which rewrites a
 /// handle in place and does not re-encode the rest of the frame.
 ///
+/// `apply()` is the session-model form of the same calls: one
+/// `SessionOp` in, one `Reply` out, so a text front end can drive a remote
+/// service exactly as it drives a local `Session`.
+///
 /// A NetClient is NOT thread-safe: it is one ordered byte stream. Share
 /// one per thread, or serialize externally (the balancer wraps each
 /// backend client in a mutex). Retry policy is deliberately the
@@ -49,9 +53,9 @@ public:
                                      size_t MaxFrameBytes =
                                          DefaultMaxFrameBytes);
 
-  /// Registers \p Matrix under \p Name; the reply carries the server's
-  /// handle and HandleInfo (fingerprint, shape, cache reuse).
-  Expected<OpenReply> open(const std::string &Name, const CsrMatrix &Matrix);
+  /// Registers \p Matrix under \p Name; the Opened reply carries the
+  /// server's handle and HandleInfo (fingerprint, shape, cache reuse).
+  Expected<Reply> open(const std::string &Name, const CsrMatrix &Matrix);
 
   /// Releases a server handle.
   Status close(uint64_t Handle);
@@ -75,6 +79,10 @@ public:
   /// Asks the server to stop (acked before the drain begins).
   Status shutdownServer();
 
+  /// Applies one session op on the server through the typed calls above:
+  /// the remote counterpart of Session::apply (api/Session.h).
+  Expected<Reply> apply(const SessionOp &Op);
+
   /// Round-trips one already-encoded request payload and returns the
   /// raw reply payload. The balancer's zero-re-encode forwarding path.
   Expected<std::string> call(const std::string &RequestPayload);
@@ -82,10 +90,6 @@ public:
 private:
   explicit NetClient(Socket Sock, size_t MaxFrameBytes)
       : Sock(std::move(Sock)), MaxFrameBytes(MaxFrameBytes) {}
-
-  /// Decodes a reply that should be an ack: RStatus carrying OK (or the
-  /// typed failure it carries).
-  static Status ackOf(const std::string &Reply);
 
   Socket Sock;
   size_t MaxFrameBytes;

@@ -6,11 +6,9 @@
 
 #include "net/NetServer.h"
 
-#include "serve/RequestTrace.h"
 #include "support/FaultInjector.h"
 #include "support/Tracing.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -24,11 +22,6 @@ using namespace seer;
 using namespace seer::net;
 
 namespace {
-
-/// Wire-side mirror of the trace parser's batch cap: the server builds
-/// Count operand vectors, so an unchecked count would let one frame
-/// request count*cols doubles.
-constexpr uint32_t MaxBatchOperands = 4096;
 
 /// How long join() lets replies still in flight flush before it cuts the
 /// connections that remain. Bounds the stop against a peer that stopped
@@ -276,6 +269,7 @@ void NetServer::connectionLoop(Conn &C) {
       break;
   }
   Handler.connectionClosed(State);
+  State.reset(); // the connection's state dies with it
   {
     MutexLock L(ConnMutex);
     C.Sock.close();
@@ -288,128 +282,26 @@ void NetServer::connectionLoop(Conn &C) {
 
 // -- ServiceFrameHandler ---------------------------------------------------
 
-/// Per-connection session: the handles this connection opened, released
-/// on disconnect. No lock — only the connection's own thread touches it.
-struct ServiceFrameHandler::Session {
-  std::vector<uint64_t> Handles;
-};
-
 ServiceFrameHandler::ServiceFrameHandler(SeerService &Service)
     : Service(Service),
       ProtocolErrors(
           Service.metrics().counter("seer_net_protocol_errors_total")) {}
 
 std::shared_ptr<void> ServiceFrameHandler::connectionOpened() {
-  return std::make_shared<Session>();
-}
-
-void ServiceFrameHandler::connectionClosed(
-    const std::shared_ptr<void> &State) {
-  auto Sess = std::static_pointer_cast<Session>(State);
-  for (const uint64_t Handle : Sess->Handles)
-    (void)Service.release(MatrixHandle{Handle});
-  Sess->Handles.clear();
+  // Only the connection's own thread touches its Session.
+  return std::make_shared<Session>(Service);
 }
 
 std::string
 ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
                                  const std::string &Payload) {
-  auto Sess = std::static_pointer_cast<Session>(State);
-  auto OpOr = frameOp(Payload);
-  if (!OpOr.ok()) {
+  auto Op = decodeRequest(Payload);
+  if (!Op.ok()) {
     ProtocolErrors.add();
-    return encodeStatusReply(OpOr.status());
+    return encodeStatusReply(Op.status());
   }
-  switch (*OpOr) {
-  case Op::Open: {
-    auto Req = decodeOpen(Payload);
-    if (!Req.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Req.status());
-    }
-    auto HandleOr = Service.registerMatrix(std::move(Req->Matrix));
-    if (!HandleOr.ok())
-      return encodeStatusReply(HandleOr.status());
-    auto InfoOr = Service.describe(*HandleOr);
-    if (!InfoOr.ok()) {
-      (void)Service.release(*HandleOr);
-      return encodeStatusReply(InfoOr.status());
-    }
-    Sess->Handles.push_back(HandleOr->Id);
-    return encodeOpenReply(HandleOr->Id, *InfoOr);
-  }
-  case Op::Close: {
-    auto HandleOr = decodeClose(Payload);
-    if (!HandleOr.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(HandleOr.status());
-    }
-    const Status S = Service.release(MatrixHandle{*HandleOr});
-    if (S.ok())
-      Sess->Handles.erase(std::remove(Sess->Handles.begin(),
-                                      Sess->Handles.end(), *HandleOr),
-                          Sess->Handles.end());
-    return encodeStatusReply(S);
-  }
-  case Op::Select:
-  case Op::Execute: {
-    auto Req = *OpOr == Op::Select ? decodeSelect(Payload)
-                                   : decodeExecute(Payload);
-    if (!Req.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Req.status());
-    }
-    Request R;
-    R.Handle = MatrixHandle{Req->Handle};
-    R.Iterations = Req->Iterations;
-    R.Execute = *OpOr == Op::Execute;
-    R.VerifyOracle = Req->Verify;
-    R.Operand = std::move(Req->Operand);
-    // Inline on this connection's thread, under the service's bounded
-    // admission: overload surfaces to the remote client as the same
-    // typed RESOURCE_EXHAUSTED the in-process API sees.
-    auto ResponseOr = Service.serveAdmitted(R);
-    if (!ResponseOr.ok())
-      return encodeStatusReply(ResponseOr.status());
-    return encodeResponseReply(*ResponseOr);
-  }
-  case Op::Batch: {
-    auto Req = decodeBatch(Payload);
-    if (!Req.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Req.status());
-    }
-    if (Req->Count < 1 || Req->Count > MaxBatchOperands)
-      return encodeStatusReply(Status::invalidArgument(
-          "batch operand count " + std::to_string(Req->Count) +
-          " out of range [1, " + std::to_string(MaxBatchOperands) + "]"));
-    auto InfoOr = Service.describe(MatrixHandle{Req->Handle});
-    if (!InfoOr.ok())
-      return encodeStatusReply(InfoOr.status());
-    const std::vector<std::vector<double>> Operands =
-        buildBatchOperands(Req->Count, InfoOr->NumCols);
-    auto ResponseOr = Service.executeBatch(MatrixHandle{Req->Handle},
-                                           Operands, Req->Iterations);
-    if (!ResponseOr.ok())
-      return encodeStatusReply(ResponseOr.status());
-    return encodeBatchReply(*ResponseOr);
-  }
-  case Op::Fault: {
-    auto Spec = decodeFault(Payload);
-    if (!Spec.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Spec.status());
-    }
-    return encodeStatusReply(applyFaultSpec(*Spec));
-  }
-  case Op::Stats:
-    return encodeTextReply(Op::RText, formatStatsLines(Service.stats()));
-  case Op::Metrics:
-    return encodeTextReply(Op::RText, Service.metricsPrometheus());
-  default:
-    ProtocolErrors.add();
-    return encodeStatusReply(Status::invalidArgument(
-        std::string("unexpected opcode in request: ") +
-        std::to_string(unsigned(*OpOr))));
-  }
+  auto Answer = static_cast<Session *>(State.get())->apply(std::move(*Op));
+  if (!Answer.ok())
+    return encodeStatusReply(Answer.status());
+  return encodeReply(*Answer);
 }

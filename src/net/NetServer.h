@@ -30,14 +30,17 @@
 /// connections still open two seconds into it are shut both ways, so a
 /// peer that stops reading a large reply cannot hold the stop forever.
 ///
-/// `ServiceFrameHandler` is the production handler: it binds the frame
-/// vocabulary to a `SeerService`, serving select/execute inline through
+/// `ServiceFrameHandler` is the production handler, the wire codec over
+/// the session model (api/Session.h): each connection owns a `Session`,
+/// and every frame is decoded into a `SessionOp`, applied on that
+/// Session, and its `Reply` encoded — the same dispatcher the text front
+/// ends use. Select/execute are served inline through
 /// `SeerService::serveAdmitted()`, so the wire path keeps the service's
 /// bounded admission — a full queue surfaces to the client as a typed
 /// RESOURCE_EXHAUSTED RStatus frame, the same backpressure contract the
-/// in-process API has. Handles opened over a connection are released
-/// when that connection closes, so a dropped client never leaks cache
-/// budget.
+/// in-process API has. The Session is destroyed when its connection
+/// closes, releasing the handles opened over it, so a dropped client
+/// never leaks cache budget.
 ///
 /// Telemetry: each served frame increments `seer_net_requests_total`,
 /// times a `net.request` span and the `seer_net_request_us` histogram;
@@ -52,6 +55,7 @@
 #define SEER_NET_NETSERVER_H
 
 #include "api/SeerService.h"
+#include "api/Session.h"
 #include "net/Socket.h"
 #include "net/Wire.h"
 #include "support/Metrics.h"
@@ -88,8 +92,9 @@ public:
                                   const std::string &Payload) = 0;
 
   /// Called exactly once when the connection ends (clean close, torn
-  /// connection, or server shutdown) — release per-connection resources
-  /// here.
+  /// connection, or server shutdown). The server drops its reference to
+  /// the connection's state right after, so state that releases its
+  /// resources on destruction needs no override.
   virtual void connectionClosed(const std::shared_ptr<void> &State) {
     (void)State;
   }
@@ -190,11 +195,8 @@ private:
   std::thread AcceptThread;
 };
 
-/// The production FrameHandler: binds the wire vocabulary to a
-/// SeerService session. Select/Execute are served inline through
-/// serveAdmitted() (bounded admission -> RESOURCE_EXHAUSTED backpressure
-/// on the wire); handles opened on a connection are tracked in its state
-/// and released on disconnect.
+/// The production FrameHandler: decode -> Session::apply -> encode, with
+/// one Session per connection (see the file comment).
 class ServiceFrameHandler : public FrameHandler {
 public:
   explicit ServiceFrameHandler(SeerService &Service);
@@ -202,11 +204,8 @@ public:
   std::shared_ptr<void> connectionOpened() override;
   std::string handleFrame(const std::shared_ptr<void> &State,
                           const std::string &Payload) override;
-  void connectionClosed(const std::shared_ptr<void> &State) override;
 
 private:
-  struct Session;
-
   SeerService &Service;
   Counter &ProtocolErrors;
 };

@@ -446,21 +446,23 @@ Expected<OpenRequest> seer::net::decodeOpen(const std::string &Payload) {
   return Out;
 }
 
-Expected<uint64_t> seer::net::decodeClose(const std::string &Payload) {
+Expected<SessionOp> seer::net::decodeClose(const std::string &Payload) {
   Reader R(Payload);
-  uint64_t Handle = 0;
+  SessionOp Out;
+  Out.Type = SessionOp::Kind::Close;
   if (Status S = expectOp(R, Op::Close); !S.ok())
     return S;
-  if (Status S = R.u64(Handle); !S.ok())
+  if (Status S = R.u64(Out.Handle); !S.ok())
     return S;
   if (Status S = R.finish(); !S.ok())
     return S;
-  return Handle;
+  return Out;
 }
 
-Expected<ExecuteRequest> seer::net::decodeSelect(const std::string &Payload) {
+Expected<SessionOp> seer::net::decodeSelect(const std::string &Payload) {
   Reader R(Payload);
-  ExecuteRequest Out;
+  SessionOp Out;
+  Out.Type = SessionOp::Kind::Select;
   if (Status S = expectOp(R, Op::Select); !S.ok())
     return S;
   if (Status S = R.u64(Out.Handle); !S.ok())
@@ -472,9 +474,10 @@ Expected<ExecuteRequest> seer::net::decodeSelect(const std::string &Payload) {
   return Out;
 }
 
-Expected<ExecuteRequest> seer::net::decodeExecute(const std::string &Payload) {
+Expected<SessionOp> seer::net::decodeExecute(const std::string &Payload) {
   Reader R(Payload);
-  ExecuteRequest Out;
+  SessionOp Out;
+  Out.Type = SessionOp::Kind::Execute;
   uint8_t Verify = 0;
   if (Status S = expectOp(R, Op::Execute); !S.ok())
     return S;
@@ -492,9 +495,10 @@ Expected<ExecuteRequest> seer::net::decodeExecute(const std::string &Payload) {
   return Out;
 }
 
-Expected<BatchRequest> seer::net::decodeBatch(const std::string &Payload) {
+Expected<SessionOp> seer::net::decodeBatch(const std::string &Payload) {
   Reader R(Payload);
-  BatchRequest Out;
+  SessionOp Out;
+  Out.Type = SessionOp::Kind::Batch;
   if (Status S = expectOp(R, Op::Batch); !S.ok())
     return S;
   if (Status S = R.u64(Out.Handle); !S.ok())
@@ -508,16 +512,17 @@ Expected<BatchRequest> seer::net::decodeBatch(const std::string &Payload) {
   return Out;
 }
 
-Expected<std::string> seer::net::decodeFault(const std::string &Payload) {
+Expected<SessionOp> seer::net::decodeFault(const std::string &Payload) {
   Reader R(Payload);
-  std::string Spec;
+  SessionOp Out;
+  Out.Type = SessionOp::Kind::Fault;
   if (Status S = expectOp(R, Op::Fault); !S.ok())
     return S;
-  if (Status S = R.str(Spec); !S.ok())
+  if (Status S = R.str(Out.FaultSpec); !S.ok())
     return S;
   if (Status S = R.finish(); !S.ok())
     return S;
-  return Spec;
+  return Out;
 }
 
 Expected<uint32_t> seer::net::decodeHelloReply(const std::string &Payload) {
@@ -532,9 +537,10 @@ Expected<uint32_t> seer::net::decodeHelloReply(const std::string &Payload) {
   return Version;
 }
 
-Expected<OpenReply> seer::net::decodeOpenReply(const std::string &Payload) {
+Expected<Reply> seer::net::decodeOpenReply(const std::string &Payload) {
   Reader R(Payload);
-  OpenReply Out;
+  Reply Out;
+  Out.Type = Reply::Kind::Opened;
   uint8_t Reused = 0;
   if (Status S = expectOp(R, Op::ROpen); !S.ok())
     return S;
@@ -710,6 +716,60 @@ Expected<std::string> seer::net::decodeTextReply(const std::string &Payload) {
   if (Status S = R.finish(); !S.ok())
     return S;
   return Text;
+}
+
+// -- The session model over frames -----------------------------------------
+
+Expected<SessionOp> seer::net::decodeRequest(const std::string &Payload) {
+  const auto Code = frameOp(Payload);
+  if (!Code)
+    return Code.status();
+  SessionOp Decoded;
+  switch (*Code) {
+  case Op::Open: {
+    auto Req = decodeOpen(Payload);
+    if (!Req)
+      return Req.status();
+    Decoded.Type = SessionOp::Kind::Open;
+    Decoded.Name = std::move(Req->Name);
+    Decoded.Matrix = std::move(Req->Matrix);
+    return Decoded;
+  }
+  case Op::Close:
+    return decodeClose(Payload);
+  case Op::Select:
+    return decodeSelect(Payload);
+  case Op::Execute:
+    return decodeExecute(Payload);
+  case Op::Batch:
+    return decodeBatch(Payload);
+  case Op::Fault:
+    return decodeFault(Payload);
+  case Op::Stats:
+  case Op::Metrics:
+    Decoded.Type = *Code == Op::Stats ? SessionOp::Kind::Stats
+                                      : SessionOp::Kind::Metrics;
+    return Decoded;
+  default:
+    return Status::invalidArgument("unexpected opcode in request: " +
+                                   std::to_string(unsigned(*Code)));
+  }
+}
+
+std::string seer::net::encodeReply(const Reply &R) {
+  switch (R.Type) {
+  case Reply::Kind::Opened:
+    return encodeOpenReply(R.Handle, R.Info);
+  case Reply::Kind::Ack:
+    break;
+  case Reply::Kind::Response:
+    return encodeResponseReply(R.Response);
+  case Reply::Kind::Batch:
+    return encodeBatchReply(R.Batch);
+  case Reply::Kind::Text:
+    return encodeTextReply(Op::RText, R.Text);
+  }
+  return encodeStatusReply(Status::okStatus());
 }
 
 Expected<uint64_t> seer::net::requestHandle(const std::string &Payload) {

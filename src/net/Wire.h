@@ -61,6 +61,7 @@
 #define SEER_NET_WIRE_H
 
 #include "api/SeerService.h"
+#include "api/Session.h"
 #include "api/Status.h"
 #include "serve/ServeTypes.h"
 #include "sparse/CsrMatrix.h"
@@ -147,33 +148,20 @@ struct OpenRequest {
   std::string Name;
   CsrMatrix Matrix;
 };
-struct ExecuteRequest {
-  uint64_t Handle = 0;
-  uint32_t Iterations = 1;
-  bool Verify = false;
-  std::vector<double> Operand;
-};
-struct BatchRequest {
-  uint64_t Handle = 0;
-  uint32_t Count = 0;
-  uint32_t Iterations = 1;
-};
-struct OpenReply {
-  uint64_t Handle = 0;
-  HandleInfo Info;
-};
 
 Expected<uint32_t> decodeHello(const std::string &Payload);
 Expected<OpenRequest> decodeOpen(const std::string &Payload);
-Expected<uint64_t> decodeClose(const std::string &Payload);
-/// Select decodes to an ExecuteRequest with Verify/Operand defaulted.
-Expected<ExecuteRequest> decodeSelect(const std::string &Payload);
-Expected<ExecuteRequest> decodeExecute(const std::string &Payload);
-Expected<BatchRequest> decodeBatch(const std::string &Payload);
-Expected<std::string> decodeFault(const std::string &Payload);
+/// Close, Select, Execute, Batch and Fault decode straight into their
+/// SessionOp (api/Session.h).
+Expected<SessionOp> decodeClose(const std::string &Payload);
+Expected<SessionOp> decodeSelect(const std::string &Payload);
+Expected<SessionOp> decodeExecute(const std::string &Payload);
+Expected<SessionOp> decodeBatch(const std::string &Payload);
+Expected<SessionOp> decodeFault(const std::string &Payload);
 
 Expected<uint32_t> decodeHelloReply(const std::string &Payload);
-Expected<OpenReply> decodeOpenReply(const std::string &Payload);
+/// ROpen decodes to its Reply (api/Session.h), Type Opened.
+Expected<Reply> decodeOpenReply(const std::string &Payload);
 /// Decodes an RStatus frame back into the Status it carries, stored in
 /// \p Decoded (OK for the code-0 acknowledgement). The return value is
 /// the *decode* outcome: INVALID_ARGUMENT if the frame is not a
@@ -183,6 +171,15 @@ Status decodeStatusReply(const std::string &Payload, Status &Decoded);
 Expected<ServeResponse> decodeResponseReply(const std::string &Payload);
 Expected<BatchResponse> decodeBatchReply(const std::string &Payload);
 Expected<std::string> decodeTextReply(const std::string &Payload);
+
+// -- The session model over frames -----------------------------------------
+
+/// Decodes a request frame (Open .. Metrics) into the SessionOp of
+/// api/Session.h. INVALID_ARGUMENT for a malformed frame or an opcode that
+/// is no session op (Hello, Shutdown, replies).
+Expected<SessionOp> decodeRequest(const std::string &Payload);
+/// Encodes a Reply as its reply frame (an Ack as the code-0 RStatus).
+std::string encodeReply(const Reply &R);
 
 /// The handle named by a handle-bearing request frame (Close / Select /
 /// Execute / Batch), read from its fixed offset. INVALID_ARGUMENT for

@@ -9,8 +9,6 @@
 #include "api/MatrixInput.h"
 #include "kernels/KernelRegistry.h"
 #include "sparse/MatrixMarket.h"
-#include "support/FaultInjector.h"
-#include "support/Random.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -20,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <sstream>
 
 using namespace seer;
@@ -72,43 +71,7 @@ Status parseIterations(const std::string &Token, uint32_t &Out) {
   return parseCount(Token, "iteration count", MaxCount, Out);
 }
 
-/// Validates a `fault` directive without arming anything: `clear`,
-/// `seed N`, or one FaultPlan rule.
-Status validateFaultSpec(const std::string &Spec) {
-  if (Spec == "clear")
-    return Status::okStatus();
-  const std::vector<std::string> Words = splitString(Spec, ' ');
-  if (!Words.empty() && Words[0] == "seed") {
-    int64_t Seed = 0;
-    if (Words.size() != 2 || !parseInt(Words[1], Seed) || Seed < 0)
-      return Status::invalidArgument("usage: fault seed N");
-    return Status::okStatus();
-  }
-  return FaultPlan::parseRule(Spec).status();
-}
-
 } // namespace
-
-Status seer::applyFaultSpec(const std::string &Spec) {
-  if (const Status S = validateFaultSpec(Spec); !S.ok())
-    return S;
-  FaultInjector &Injector = FaultInjector::instance();
-  if (Spec == "clear") {
-    Injector.disarm();
-    return Status::okStatus();
-  }
-  const std::vector<std::string> Words = splitString(Spec, ' ');
-  if (!Words.empty() && Words[0] == "seed") {
-    int64_t Seed = 0;
-    parseInt(Words[1], Seed);
-    Injector.reseed(static_cast<uint64_t>(Seed));
-    return Status::okStatus();
-  }
-  auto Rule = FaultPlan::parseRule(Spec);
-  assert(Rule && "validated rule failed to parse");
-  Injector.addRule(*Rule);
-  return Status::okStatus();
-}
 
 Status seer::parseTraceLine(const std::string &Line, TraceCommand &Out) {
   const auto Fail = [](const std::string &Message) {
@@ -193,7 +156,8 @@ Status seer::parseTraceLine(const std::string &Line, TraceCommand &Out) {
     Out.Command = TraceCommand::Kind::Batch;
     Out.Name = Tokens[1];
     if (const Status S =
-            parseCount(Tokens[2], "batch operand count", 4096, Out.BatchCount);
+            parseCount(Tokens[2], "batch operand count", MaxBatchOperands,
+                       Out.BatchCount);
         !S.ok())
       return S;
     if (Tokens.size() == 4)
@@ -245,6 +209,21 @@ size_t TraceScript::matrixIndex(const std::string &Name) const {
   return npos;
 }
 
+namespace {
+
+bool isDefinition(const TraceCommand &Command) {
+  return Command.Command == TraceCommand::Kind::Load ||
+         Command.Command == TraceCommand::Kind::Gen;
+}
+
+} // namespace
+
+size_t TraceScript::opCount() const {
+  return static_cast<size_t>(
+      std::count_if(Commands.begin(), Commands.end(),
+                    [](const TraceCommand &C) { return !isDefinition(C); }));
+}
+
 Expected<TraceScript> seer::parseTrace(const std::string &Text) {
   const auto Fail = [](size_t LineNo, const std::string &Message) {
     return Status::invalidArgument("trace line " + std::to_string(LineNo) +
@@ -256,12 +235,12 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
   const std::vector<std::string> Lines = splitString(Text, '\n');
   for (size_t LineNo = 1; LineNo <= Lines.size(); ++LineNo) {
     TraceCommand Command;
-    if (const Status S = parseTraceLine(Lines[LineNo - 1], Command); !S.ok())
+    const std::string &Line = Lines[LineNo - 1];
+    if (const Status S = parseTraceLine(Line, Command); !S.ok())
       return Fail(LineNo, S.message());
-
-    const auto RequireDefined = [&]() -> size_t {
-      return Script.matrixIndex(Command.Name);
-    };
+    const auto Verb = [&Line] { return tokenize(Line)[0]; };
+    const bool Defined =
+        Script.matrixIndex(Command.Name) != TraceScript::npos;
 
     switch (Command.Command) {
     case TraceCommand::Kind::Blank:
@@ -270,92 +249,42 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
       if (SawCommand)
         return Fail(LineNo, "'seer-trace v2' must be the first command");
       Script.Version = Command.Version;
-      break;
+      SawCommand = true;
+      continue;
     case TraceCommand::Kind::Stats:
     case TraceCommand::Kind::Quit:
       return Fail(LineNo, "control commands are not allowed in traces");
-    case TraceCommand::Kind::Fault: {
-      if (Script.Version < 2)
-        return Fail(LineNo, "'fault' requires a 'seer-trace v2' header");
-      TraceScript::Op Op;
-      Op.Command = TraceScript::Op::Kind::Fault;
-      Op.FaultSpec = Command.FaultSpec;
-      Script.Ops.push_back(Op);
-      break;
-    }
-    case TraceCommand::Kind::Metrics:
-    case TraceCommand::Kind::Spans: {
-      const bool IsMetrics = Command.Command == TraceCommand::Kind::Metrics;
-      if (Script.Version < 2)
-        return Fail(LineNo, std::string("'") + (IsMetrics ? "metrics" : "spans") +
-                                "' requires a 'seer-trace v2' header");
-      TraceScript::Op Op;
-      Op.Command = IsMetrics ? TraceScript::Op::Kind::Metrics
-                             : TraceScript::Op::Kind::Spans;
-      Op.SpanCount = Command.SpanCount;
-      Script.Ops.push_back(Op);
-      break;
-    }
-    case TraceCommand::Kind::Load: {
-      if (Script.matrixIndex(Command.Name) != TraceScript::npos)
-        return Fail(LineNo, "duplicate matrix name '" + Command.Name + "'");
-      auto M = readMatrixMarketFile(Command.Path);
-      if (!M)
-        return Fail(LineNo, M.status().message());
-      Script.Matrices.emplace_back(Command.Name, std::move(*M));
-      break;
-    }
+    case TraceCommand::Kind::Load:
     case TraceCommand::Kind::Gen: {
-      if (Script.matrixIndex(Command.Name) != TraceScript::npos)
+      if (Defined)
         return Fail(LineNo, "duplicate matrix name '" + Command.Name + "'");
-      auto M = buildTraceMatrix(Command);
+      auto M = Command.Command == TraceCommand::Kind::Load
+                   ? readMatrixMarketFile(Command.Path)
+                   : buildTraceMatrix(Command);
       if (!M)
         return Fail(LineNo, M.status().message());
       Script.Matrices.emplace_back(Command.Name, std::move(*M));
       break;
     }
+    case TraceCommand::Kind::Fault:
+    case TraceCommand::Kind::Metrics:
+    case TraceCommand::Kind::Spans:
     case TraceCommand::Kind::Open:
     case TraceCommand::Kind::Close:
-    case TraceCommand::Kind::Batch: {
-      const char *Verb = Command.Command == TraceCommand::Kind::Open
-                             ? "open"
-                             : Command.Command == TraceCommand::Kind::Close
-                                   ? "close"
-                                   : "batch";
+    case TraceCommand::Kind::Batch:
       if (Script.Version < 2)
-        return Fail(LineNo, "'" + std::string(Verb) +
-                                "' requires a 'seer-trace v2' header");
-      const size_t Index = RequireDefined();
-      if (Index == TraceScript::npos)
+        return Fail(LineNo,
+                    "'" + Verb() + "' requires a 'seer-trace v2' header");
+      if (!Command.Name.empty() && !Defined)
         return Fail(LineNo, "unknown matrix '" + Command.Name + "'");
-      TraceScript::Op Op;
-      Op.Command = Command.Command == TraceCommand::Kind::Open
-                       ? TraceScript::Op::Kind::Open
-                       : Command.Command == TraceCommand::Kind::Close
-                             ? TraceScript::Op::Kind::Close
-                             : TraceScript::Op::Kind::Batch;
-      Op.MatrixIndex = Index;
-      Op.Iterations = Command.Iterations;
-      Op.BatchCount = Command.BatchCount;
-      Script.Ops.push_back(Op);
       break;
-    }
     case TraceCommand::Kind::Select:
-    case TraceCommand::Kind::Execute: {
-      const size_t Index = RequireDefined();
-      if (Index == TraceScript::npos)
+    case TraceCommand::Kind::Execute:
+      if (!Defined)
         return Fail(LineNo, "unknown matrix '" + Command.Name + "'");
-      TraceScript::Op Op;
-      Op.Command = Command.Command == TraceCommand::Kind::Select
-                       ? TraceScript::Op::Kind::Select
-                       : TraceScript::Op::Kind::Execute;
-      Op.MatrixIndex = Index;
-      Op.Iterations = Command.Iterations;
-      Op.Verify = Command.Verify;
-      Script.Ops.push_back(Op);
       break;
     }
-    }
+    Script.Commands.push_back(std::move(Command));
     SawCommand = true;
   }
   return Script;
@@ -373,18 +302,6 @@ Expected<TraceScript> seer::readTraceFile(const std::string &Path) {
 //===----------------------------------------------------------------------===//
 // Output formatting
 //===----------------------------------------------------------------------===//
-
-std::vector<std::vector<double>> seer::buildBatchOperands(uint32_t Count,
-                                                          uint32_t Cols) {
-  std::vector<std::vector<double>> Operands(Count);
-  for (uint32_t K = 0; K < Count; ++K) {
-    Rng OpRng(K);
-    Operands[K].resize(Cols);
-    for (double &V : Operands[K])
-      V = OpRng.uniform(-1.0, 1.0);
-  }
-  return Operands;
-}
 
 std::string seer::formatBatchResponseLine(const std::string &Name,
                                           const BatchResponse &Response,
@@ -554,4 +471,215 @@ std::string seer::formatErrorLine(const Status &Error) {
   assert(!Error.ok() && "error line for an OK status");
   return std::string("error ") + statusCodeName(Error.code()) + " " +
          Error.message();
+}
+
+//===----------------------------------------------------------------------===//
+// Span sink
+//===----------------------------------------------------------------------===//
+
+void SpanSink::drain() {
+  std::vector<TraceSpan> Fresh = SpanRecorder::instance().drain();
+  MutexLock Lock(M);
+  Spans.insert(Spans.end(), Fresh.begin(), Fresh.end());
+  std::sort(Spans.begin(), Spans.end(),
+            [](const TraceSpan &A, const TraceSpan &B) {
+              return A.StartNs != B.StartNs ? A.StartNs < B.StartNs
+                                            : A.Seq < B.Seq;
+            });
+}
+
+std::string SpanSink::spanLines(uint32_t Count) {
+  drain();
+  MutexLock Lock(M);
+  return formatSpanLines(Spans, Count);
+}
+
+std::string SpanSink::chromeJson() {
+  drain();
+  MutexLock Lock(M);
+  return SpanRecorder::chromeTraceJson(Spans);
+}
+
+//===----------------------------------------------------------------------===//
+// Text front end
+//===----------------------------------------------------------------------===//
+
+TextFrontEnd::TextFrontEnd(SessionApplyFn Apply,
+                           const KernelRegistry &Registry, SpanSink &Spans,
+                           Mode M, std::ostream *Out)
+    : Apply(std::move(Apply)), Registry(Registry), Spans(Spans),
+      PrintMode(M), Out(Out) {}
+
+void TextFrontEnd::print(const std::string &Text, bool Ack) {
+  if (Out && (!Ack || PrintMode == Mode::Interactive))
+    *Out << Text;
+}
+
+void TextFrontEnd::fail(const Status &Error) {
+  ++Errors;
+  print(formatErrorLine(Error) + "\n");
+}
+
+bool TextFrontEnd::open(NamedMatrix &M) {
+  SessionOp Op;
+  Op.Type = SessionOp::Kind::Open;
+  Op.Name = M.Name;
+  Op.Matrix = M.Source;
+  const auto Opened = Apply(std::move(Op));
+  if (!Opened) {
+    fail(Opened.status());
+    return false;
+  }
+  M.Handle = Opened->Handle;
+  const HandleInfo &Info = Opened->Info;
+  print("ok " + M.Name + " " + std::to_string(Info.NumRows) + "x" +
+            std::to_string(Info.NumCols) + " " + std::to_string(Info.Nnz) +
+            " nnz handle=" + std::to_string(M.Handle) + "\n",
+        /*Ack=*/true);
+  return true;
+}
+
+void TextFrontEnd::run(const TraceCommand &Command, const MatrixInput *Source) {
+  using Kind = TraceCommand::Kind;
+  const std::string &Name = Command.Name;
+  auto Named =
+      std::find_if(Names.begin(), Names.end(),
+                   [&](const NamedMatrix &M) { return M.Name == Name; });
+  const bool Defines =
+      Command.Command == Kind::Load || Command.Command == Kind::Gen;
+  // Every name-level error is decided here, before anything is applied.
+  if (!Name.empty() && !Defines && Named == Names.end())
+    return fail(Status::notFound("unknown matrix '" + Name + "'"));
+  SessionOp Op;
+  Op.Handle = Named == Names.end() ? 0 : Named->Handle;
+  switch (Command.Command) {
+  case Kind::Blank:
+  case Kind::Quit:
+    return;
+  case Kind::Version:
+    return print("ok seer-trace v2\n", /*Ack=*/true);
+  case Kind::Spans:
+    if (!Out)
+      return Spans.drain(); // keep the rings from overwriting under load
+    return print(Spans.spanLines(Command.SpanCount));
+  case Kind::Load:
+  case Kind::Gen:
+    if (Named != Names.end())
+      return fail(
+          Status::alreadyExists("duplicate matrix name '" + Name + "'"));
+    Names.push_back(
+        {Name,
+         Source ? *Source
+         : Command.Command == Kind::Load
+             ? MatrixInput(MatrixMarketSource{Command.Path})
+             : MatrixInput(GeneratorSpec{Command.GenFamily, Command.GenArgs}),
+         0});
+    if (!open(Names.back()))
+      Names.pop_back(); // forget a name that never opened
+    return;
+  case Kind::Open:
+    if (Op.Handle != 0)
+      return fail(
+          Status::alreadyExists("matrix '" + Name + "' is already open"));
+    open(*Named);
+    return;
+  case Kind::Close:
+    if (Op.Handle == 0) // the service's answer to releasing handle 0
+      return fail(
+          Status::notFound("unknown or already released matrix handle 0"));
+    Op.Type = SessionOp::Kind::Close;
+    Named->Handle = 0;
+    break;
+  case Kind::Select:
+  case Kind::Execute:
+  case Kind::Batch:
+    if (Op.Handle == 0)
+      return fail(Status::failedPrecondition("matrix '" + Name +
+                                             "' is closed (open it first)"));
+    Op.Type = Command.Command == Kind::Select    ? SessionOp::Kind::Select
+              : Command.Command == Kind::Execute ? SessionOp::Kind::Execute
+                                                 : SessionOp::Kind::Batch;
+    Op.Iterations = Command.Iterations;
+    Op.Verify = Command.Verify;
+    Op.Count = Command.BatchCount;
+    break;
+  case Kind::Fault:
+    Op.Type = SessionOp::Kind::Fault;
+    Op.FaultSpec = Command.FaultSpec;
+    break;
+  case Kind::Stats:
+  case Kind::Metrics:
+    if (!Out)
+      return; // an observation, not a request: only a printer asks
+    Op.Type = Command.Command == Kind::Stats ? SessionOp::Kind::Stats
+                                             : SessionOp::Kind::Metrics;
+    break;
+  }
+
+  const auto Answer = Apply(std::move(Op));
+  if (!Answer)
+    return fail(Answer.status());
+  if (!Out)
+    return;
+  switch (Answer->Type) {
+  case Reply::Kind::Response:
+    return print(formatResponseLine(Name, Answer->Response, Registry) + "\n");
+  case Reply::Kind::Batch:
+    return print(formatBatchResponseLine(Name, Answer->Batch, Registry) +
+                 "\n");
+  case Reply::Kind::Text:
+    return print(Answer->Text);
+  case Reply::Kind::Ack:
+    if (Command.Command == Kind::Fault)
+      return print("ok fault " + Command.FaultSpec + "\n");
+    return print("ok closed " + Name + "\n", /*Ack=*/true);
+  case Reply::Kind::Opened:
+    return;
+  }
+}
+
+bool TextFrontEnd::runLine(const std::string &Line) {
+  TraceCommand Command;
+  if (const Status S = parseTraceLine(Line, Command); !S.ok())
+    fail(S);
+  else if (Command.Command == TraceCommand::Kind::Quit)
+    return false;
+  else
+    run(Command);
+  if (Out)
+    Out->flush();
+  return true;
+}
+
+void TextFrontEnd::closeAll() {
+  for (NamedMatrix &M : Names) {
+    if (M.Handle == 0)
+      continue;
+    SessionOp Op;
+    Op.Type = SessionOp::Kind::Close;
+    Op.Handle = M.Handle;
+    M.Handle = 0;
+    (void)Apply(std::move(Op));
+  }
+}
+
+uint64_t seer::replayTrace(const TraceScript &Script, unsigned Repeat,
+                           TextFrontEnd &FrontEnd) {
+  for (unsigned Pass = 0; Pass < Repeat; ++Pass)
+    for (const TraceCommand &Command : Script.Commands) {
+      if (!isDefinition(Command)) {
+        FrontEnd.run(Command);
+        continue;
+      }
+      if (Pass > 0)
+        continue;
+      // Zero-copy: every client shares the parser's matrix instead of
+      // copying it (the caller keeps the script alive).
+      const MatrixInput Shared = std::shared_ptr<const CsrMatrix>(
+          std::shared_ptr<void>(),
+          &Script.Matrices[Script.matrixIndex(Command.Name)].second);
+      FrontEnd.run(Command, &Shared);
+    }
+  FrontEnd.closeAll();
+  return FrontEnd.errors();
 }

@@ -5,9 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The text protocol of `seer-serve`, used both for scripted trace files
-/// and the interactive stdin mode. One command per line; `#` starts a
-/// comment; blank lines are ignored.
+/// The text protocol of the serving tools: one command per line; `#`
+/// starts a comment; blank lines are ignored. It is one of two codecs
+/// over the session model of api/Session.h (the binary frames of
+/// net/Wire.h are the other): `TextFrontEnd` turns a line into a
+/// `SessionOp`, applies it on a local `Session` or on a `NetClient`, and
+/// formats the `Reply`. That one front end serves seer-serve's stdin mode,
+/// each client of its `--trace` replay, and seer-netclient, so a trace
+/// prints the same lines in process and over the wire.
 ///
 /// ## Protocol v2
 ///
@@ -16,20 +21,20 @@
 ///
 ///   seer-trace v2
 ///
-/// v2 maps onto the session-based serving API (api/SeerService.h):
-/// defining a matrix registers it (a handle is opened for it), and the
-/// handle lifecycle is scriptable:
+/// Defining a matrix opens a handle for it, and the handle lifecycle is
+/// scriptable:
 ///
-///   open NAME                        re-register NAME after a close
+///   open NAME                        re-open NAME after a close
 ///   close NAME                       release NAME's handle
 ///
-/// Requests against a closed name are answered with a typed error line
-/// (see below) instead of a response line; the replay continues. Traces
-/// without the header parse as v1, a subset: only setup commands and
-/// select/execute, with open/close/batch/fault/metrics/spans rejected at
-/// parse time. Both dialects replay through the same session path, so a
-/// headerless trace and the same trace behind a `seer-trace v2` header
-/// answer with identical response lines (CI diffs the two).
+/// Requests against a closed name, and `open` of a name that is already
+/// open, are answered with a typed error line (see below) instead of a
+/// response line; the session continues. Traces without the header parse
+/// as v1, a subset: only setup commands and select/execute, with
+/// open/close/batch/fault/metrics/spans rejected at parse time. Both
+/// dialects replay through the same front end, so a headerless trace and
+/// the same trace behind a `seer-trace v2` header answer with identical
+/// response lines (CI diffs the two).
 ///
 /// Setup commands (define a named matrix; in v2 this also opens it):
 ///   load NAME PATH                   Matrix Market file
@@ -49,7 +54,8 @@
 ///                                    operand k is the deterministic
 ///                                    uniform(-1, 1) vector seeded with k
 ///                                    (buildBatchOperands), so replays are
-///                                    reproducible
+///                                    reproducible; COUNT is at most
+///                                    MaxBatchOperands (4096)
 ///
 /// Fault command (v2 only; drives support/FaultInjector.h):
 ///   fault SITE nth=N|every=K ACTION  add one fault rule (FaultPlan rule
@@ -77,7 +83,9 @@
 /// Output lines are `NAME key=value...` response lines (with a
 /// ` degraded=1` marker when the server answered from the baseline
 /// fallback kernel), `stat NAME VALUE` telemetry lines, `ok ...`
-/// acknowledgements, and error lines of the form
+/// acknowledgements (interactive mode acks the header, every open and
+/// every close; replays print only `ok fault` and `ok spans`), and error
+/// lines of the form
 ///
 ///   error CODE message...            e.g. `error NOT_FOUND no handle ...`
 ///
@@ -88,11 +96,15 @@
 #ifndef SEER_SERVE_REQUESTTRACE_H
 #define SEER_SERVE_REQUESTTRACE_H
 
+#include "api/Session.h"
 #include "api/Status.h"
 #include "serve/ServeTypes.h"
 #include "sparse/CsrMatrix.h"
+#include "support/ThreadAnnotations.h"
 #include "support/Tracing.h"
 
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -149,60 +161,30 @@ Status parseTraceLine(const std::string &Line, TraceCommand &Out);
 Expected<CsrMatrix> buildTraceMatrix(const TraceCommand &Command);
 
 /// A fully parsed trace: the declared protocol version, the named
-/// matrices (in definition order) and the operation sequence.
+/// matrices (pre-built once, in definition order) and the validated
+/// command sequence — every line but blanks, comments and the header,
+/// with setup lines (load/gen) kept in place.
 struct TraceScript {
-  /// One replayable operation. v1 traces only contain Select/Execute;
-  /// Open/Close/Batch/Fault/Metrics/Spans appear in v2 traces.
-  struct Op {
-    enum class Kind {
-      Open,
-      Close,
-      Select,
-      Execute,
-      Batch,
-      Fault,
-      Metrics,
-      Spans
-    };
-    Kind Command = Kind::Select;
-    /// Index into Matrices (not used by Fault/Metrics/Spans).
-    size_t MatrixIndex = 0;
-    /// Request parameters (Select/Execute/Batch).
-    uint32_t Iterations = 1;
-    bool Verify = false;
-    /// Operand count (Batch).
-    uint32_t BatchCount = 0;
-    /// Span count to print (Spans).
-    uint32_t SpanCount = 0;
-    /// Fault directive (Fault): a FaultPlan rule, `seed N`, or `clear`.
-    std::string FaultSpec;
-  };
-
   /// Declared protocol version (1 without a header line).
   int Version = 1;
   std::vector<std::pair<std::string, CsrMatrix>> Matrices;
-  std::vector<Op> Ops;
+  std::vector<TraceCommand> Commands;
 
   /// Index of the matrix named \p Name, or npos.
   static constexpr size_t npos = static_cast<size_t>(-1);
   size_t matrixIndex(const std::string &Name) const;
+  /// Commands that are not setup lines: what one replay pass serves.
+  size_t opCount() const;
 };
 
 /// Parses a whole trace (header + setup + operations). Control commands
-/// are rejected in traces, open/close require a v2 header, and every
-/// referenced name must be defined. INVALID_ARGUMENT with a 1-based line
-/// number on the first bad line.
+/// are rejected in traces, open/close/batch/fault/metrics/spans require a
+/// v2 header, and every referenced name must be defined earlier.
+/// INVALID_ARGUMENT with a 1-based line number on the first bad line.
 Expected<TraceScript> parseTrace(const std::string &Text);
 
 /// Reads and parses a trace file (NOT_FOUND / INVALID_ARGUMENT).
 Expected<TraceScript> readTraceFile(const std::string &Path);
-
-/// The deterministic operand set of a `batch NAME COUNT` command:
-/// operand k (0-based) has \p Cols elements drawn uniform(-1, 1) from a
-/// generator seeded with k, so every replay of a trace executes the
-/// identical batch.
-std::vector<std::vector<double>> buildBatchOperands(uint32_t Count,
-                                                    uint32_t Cols);
 
 /// Formats one response as a single protocol output line, e.g.
 ///   `web1 kernel=CSR,WO route=gathered cache=hit overhead_ms=0 ...`.
@@ -217,12 +199,6 @@ std::string formatBatchResponseLine(const std::string &Name,
                                     const BatchResponse &Response,
                                     const KernelRegistry &Registry);
 
-/// Applies one validated `fault` directive (`clear`, `seed N`, or a
-/// FaultPlan rule line) to the process-wide FaultInjector. The shared
-/// executor of the trace-v2 `fault` command (replay and interactive
-/// mode). INVALID_ARGUMENT on a malformed spec, without arming anything.
-Status applyFaultSpec(const std::string &Spec);
-
 /// Formats a stats snapshot as `stat NAME VALUE` lines.
 std::string formatStatsLines(const ServerStats &Stats);
 
@@ -236,6 +212,91 @@ std::string formatSpanLines(const std::vector<TraceSpan> &Spans,
 /// Formats a failure as a protocol error line: `error CODE message`.
 /// \p Error must not be OK.
 std::string formatErrorLine(const Status &Error);
+
+/// The spans drained so far, so the `spans` command (which empties the
+/// recorder's rings) and an exit-time Chrome trace export see one
+/// timeline. Thread-safe: concurrent replay clients drain into one sink.
+class SpanSink {
+public:
+  /// Moves everything currently in the recorder into the sink, keeping
+  /// the global (StartNs, Seq) order.
+  void drain();
+  /// The `spans N` response: the newest \p Count spans seen so far.
+  std::string spanLines(uint32_t Count);
+  /// Chrome trace-event JSON of every span seen so far.
+  std::string chromeJson();
+
+private:
+  seer::Mutex M;
+  std::vector<TraceSpan> Spans SEER_GUARDED_BY(M);
+};
+
+/// Where a text front end sends its ops: a local Session or a NetClient.
+using SessionApplyFn = std::function<Expected<Reply>(SessionOp)>;
+
+/// The text codec over the session model (api/Session.h): turns a
+/// command into a SessionOp, resolves its name to the handle the name has
+/// now, applies the op, and prints the Reply as a response, error or ack
+/// line. It decides every name-level error (unknown, closed, already open)
+/// before anything is applied, so a trace prints byte-identical lines
+/// whether the ops go to a local Session or over the wire.
+class TextFrontEnd {
+public:
+  /// What gets printed is the only difference between the modes:
+  /// Interactive acks the header, every open and every close with an
+  /// `ok ...` line; Replay omits those acks (handle ids differ per
+  /// process). Both print the `ok fault` ack and the `ok spans` trailer.
+  enum class Mode { Interactive, Replay };
+
+  /// \p Registry names kernels in response lines. A null \p Out runs
+  /// silently (replay clients beyond the first): errors are still
+  /// counted, `stats`/`metrics` are skipped and `spans` only drains.
+  TextFrontEnd(SessionApplyFn Apply, const KernelRegistry &Registry,
+               SpanSink &Spans, Mode M, std::ostream *Out);
+
+  /// Runs one parsed command. A load/gen defines its name and opens it,
+  /// from \p Source when given (a replay's pre-built matrix), else from
+  /// the command. Quit is the caller's to act on.
+  void run(const TraceCommand &Command, const MatrixInput *Source = nullptr);
+
+  /// Parses and runs one interactive line. \returns false on `quit`.
+  bool runLine(const std::string &Line);
+
+  /// Closes every open name (the end of a replay).
+  void closeAll();
+
+  /// Commands answered with an error line so far, printed or not.
+  uint64_t errors() const { return Errors; }
+
+private:
+  /// A defined name: how to open it again, and its handle (0 = closed).
+  struct NamedMatrix {
+    std::string Name;
+    MatrixInput Source;
+    uint64_t Handle = 0;
+  };
+
+  /// Opens \p M and records its handle; false (error printed) on failure.
+  bool open(NamedMatrix &M);
+  void fail(const Status &Error);
+  /// Prints \p Text; an \p Ack only in Interactive mode.
+  void print(const std::string &Text, bool Ack = false);
+
+  SessionApplyFn Apply;
+  const KernelRegistry &Registry;
+  SpanSink &Spans;
+  Mode PrintMode;
+  std::ostream *Out;
+  std::vector<NamedMatrix> Names;
+  uint64_t Errors = 0;
+};
+
+/// Replays \p Script \p Repeat times through \p FrontEnd, then closes
+/// what is still open. Setup lines run in the first pass only and share
+/// the script's pre-built matrices without copying (\p Script must
+/// outlive the replay's registrations). \returns the error-line count.
+uint64_t replayTrace(const TraceScript &Script, unsigned Repeat,
+                     TextFrontEnd &FrontEnd);
 
 } // namespace seer
 

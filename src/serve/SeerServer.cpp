@@ -84,7 +84,11 @@ RegisteredMatrix SeerServer::registerMatrix(
   R.Matrix = std::move(Matrix);
   R.Entry = std::move(Entry);
   R.AnalysisReused = Hit;
+  // The one place the cache can miss: requests carry the pinned entry.
+  // Counted after the registration (stats() relies on that order).
   Registrations.add();
+  if (Hit)
+    CacheHits.add();
   return R;
 }
 
@@ -439,7 +443,6 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   // Commit telemetry before returning so stats() is consistent once the
   // caller has its response.
   Requests.add();
-  CacheHits.add();
   if (R.Selection.UsedGatheredModel)
     GatheredRoutes.add();
   if (R.Executed)
@@ -650,10 +653,9 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
 
   B.ServiceMicros = microsSince(Start);
 
-  // Telemetry: a batch is one request (one hit, one route, one
-  // preprocessing charge, one plan) executing N operands.
+  // Telemetry: a batch is one request (one route, one preprocessing
+  // charge, one plan) executing N operands.
   Requests.add();
-  CacheHits.add();
   if (B.Selection.UsedGatheredModel)
     GatheredRoutes.add();
   Executions.add(Operands.size());
@@ -672,8 +674,6 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
 ServerStats SeerServer::stats() const {
   ServerStats S;
   S.Requests = Requests.value();
-  S.CacheHits = CacheHits.value();
-  S.CacheMisses = S.Requests - S.CacheHits;
   S.GatheredRoutes = GatheredRoutes.value();
   S.KnownRoutes = S.Requests - S.GatheredRoutes;
   S.Executions = Executions.value();
@@ -703,15 +703,19 @@ ServerStats SeerServer::stats() const {
   S.PartialEvictions = Residency.PartialEvictions;
   S.Reanalyses = Residency.Reanalyses;
   S.PinnedMatrices = Residency.PinnedEntries;
-  // Releases first: a register+release pair completing between the two
-  // loads can then only make the gauge transiently read high, never drive
-  // Releases past the Registrations snapshot and wrap the unsigned
-  // subtraction (every release is preceded by its registration); the
-  // clamp below covers reordering of the relaxed loads themselves.
+  // Cache hits and releases first: a registration (or register+release
+  // pair) completing between the loads can then only make the misses or
+  // the gauge transiently read high, never drive either past the
+  // Registrations snapshot and wrap the unsigned subtraction (every hit
+  // and every release is counted after its registration); the clamps
+  // below cover reordering of the relaxed loads themselves.
+  S.CacheHits = CacheHits.value();
   const uint64_t Released = Releases.value();
   S.Registrations = Registrations.value();
   S.ActiveHandles =
       S.Registrations >= Released ? S.Registrations - Released : 0;
+  S.CacheMisses =
+      S.Registrations >= S.CacheHits ? S.Registrations - S.CacheHits : 0;
   S.LatencySamples = Latency.samples();
   S.MeanLatencyUs = Latency.mean();
   S.P50LatencyUs = Latency.percentile(0.50);
@@ -744,7 +748,6 @@ ServerStats SeerServer::stats() const {
 
 void SeerServer::resetStats() {
   Requests.reset();
-  CacheHits.reset();
   GatheredRoutes.reset();
   Executions.reset();
   PaidPreprocesses.reset();
@@ -762,8 +765,11 @@ void SeerServer::resetStats() {
   NetConnections.reset();
   NetRequests.reset();
   NetProtocolErrors.reset();
-  // Breaker opens and the process-wide injected-fault counter are
-  // cumulative by design and survive the reset, like the cache residency
+  // Cache hits count registrations, which are session telemetry like the
+  // registration counter itself, so both survive the reset and
+  // cache_hits + cache_misses == registrations holds across it. Breaker
+  // opens and the process-wide injected-fault counter are cumulative by
+  // design and survive the reset, like the cache residency
   // counters. The stage and cost-model histograms are diagnostic rather
   // than request-wave telemetry and survive too.
   Latency.reset();

@@ -188,9 +188,14 @@ public:
 
 /// Monotone telemetry snapshot of a SeerServer.
 struct ServerStats {
-  /// Requests handled (== CacheHits + CacheMisses
-  ///                  == KnownRoutes + GatheredRoutes).
+  /// Requests handled (== KnownRoutes + GatheredRoutes).
   uint64_t Requests = 0;
+  /// Fingerprint-cache outcomes, counted once per registration
+  /// (CacheHits + CacheMisses == Registrations): a hit found the analysis
+  /// already cached, a miss paid for it. Requests never probe the cache —
+  /// each carries its registration's pinned entry — so registration is
+  /// where the cache can miss. Like Registrations, not reset by
+  /// resetStats().
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   /// Requests answered from the known-feature model / the gathered model.
@@ -276,11 +281,11 @@ struct ServerStats {
                               static_cast<double>(OracleChecks)
                         : 0.0;
   }
-  /// Cache hit rate over all requests (0 when none).
+  /// Cache hit rate over all registrations (0 when none).
   double hitRate() const {
-    return Requests
-               ? static_cast<double>(CacheHits) / static_cast<double>(Requests)
-               : 0.0;
+    return Registrations ? static_cast<double>(CacheHits) /
+                               static_cast<double>(Registrations)
+                         : 0.0;
   }
 };
 

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/SeerService.h"
+#include "api/Session.h"
 #include "core/Seer.h"
 #include "serve/RequestTrace.h"
 #include "sparse/MatrixMarket.h"
@@ -750,4 +751,87 @@ TEST(SeerServiceTest, AsyncQueueAppliesBackpressure) {
   EXPECT_EQ(Stats.AsyncAccepted, 3u);
   EXPECT_EQ(Stats.AsyncRejected, 1u);
   EXPECT_TRUE(Service.release(*Handle).ok());
+}
+
+//===----------------------------------------------------------------------===//
+// Session: the one dispatcher over the service
+//===----------------------------------------------------------------------===//
+
+TEST(SessionTest, EveryOpAnswersWithItsReplyKind) {
+  SeerService Service(tinyModels());
+  Session Client(Service);
+  const CsrMatrix &M = requestPool()[0];
+
+  SessionOp Open;
+  Open.Type = SessionOp::Kind::Open;
+  Open.Name = "m";
+  Open.Matrix = M;
+  const auto Opened = Client.apply(std::move(Open));
+  ASSERT_TRUE(Opened) << Opened.status().toString();
+  EXPECT_EQ(Opened->Type, Reply::Kind::Opened);
+  EXPECT_EQ(Opened->Info.NumRows, M.numRows());
+  EXPECT_EQ(Opened->Info.Nnz, M.nnz());
+
+  const auto On = [&](SessionOp::Kind Kind) {
+    SessionOp Op;
+    Op.Type = Kind;
+    Op.Handle = Opened->Handle;
+    Op.Iterations = 5;
+    Op.Count = 3;
+    Op.FaultSpec = "clear";
+    return Op;
+  };
+  const ServerStats Before = Service.stats();
+  const std::pair<SessionOp::Kind, Reply::Kind> Expected[] = {
+      {SessionOp::Kind::Select, Reply::Kind::Response},
+      {SessionOp::Kind::Execute, Reply::Kind::Response},
+      {SessionOp::Kind::Batch, Reply::Kind::Batch},
+      {SessionOp::Kind::Fault, Reply::Kind::Ack},
+      {SessionOp::Kind::Stats, Reply::Kind::Text},
+      {SessionOp::Kind::Metrics, Reply::Kind::Text},
+      {SessionOp::Kind::Close, Reply::Kind::Ack}};
+  for (const auto &[Kind, ReplyKind] : Expected) {
+    const auto Answer = Client.apply(On(Kind));
+    ASSERT_TRUE(Answer) << Answer.status().toString();
+    EXPECT_EQ(Answer->Type, ReplyKind);
+  }
+  // Select and execute went through the service's admission; the batch
+  // executed its three deterministic operands.
+  const ServerStats After = Service.stats();
+  EXPECT_EQ(After.AsyncAccepted - Before.AsyncAccepted, 2u);
+  EXPECT_EQ(After.BatchedOperands - Before.BatchedOperands, 3u);
+  EXPECT_EQ(After.ActiveHandles, 0u);
+
+  // The closed handle is gone: the service's typed NOT_FOUND comes back.
+  const auto Stale = Client.apply(On(SessionOp::Kind::Select));
+  ASSERT_FALSE(Stale);
+  EXPECT_EQ(Stale.status().code(), StatusCode::NotFound);
+}
+
+TEST(SessionTest, DestroyingASessionReleasesItsHandles) {
+  SeerService Service(tinyModels());
+  std::vector<uint64_t> Handles;
+  {
+    Session Client(Service);
+    for (const CsrMatrix &M : requestPool()) {
+      SessionOp Open;
+      Open.Type = SessionOp::Kind::Open;
+      Open.Matrix = M;
+      const auto Opened = Client.apply(std::move(Open));
+      ASSERT_TRUE(Opened) << Opened.status().toString();
+      Handles.push_back(Opened->Handle);
+    }
+    EXPECT_EQ(Service.stats().ActiveHandles, requestPool().size());
+    // Closing one handle explicitly leaves the rest to the destructor.
+    SessionOp Close;
+    Close.Type = SessionOp::Kind::Close;
+    Close.Handle = Handles[0];
+    ASSERT_TRUE(Client.apply(Close));
+    EXPECT_EQ(Service.stats().ActiveHandles, requestPool().size() - 1);
+  }
+  const ServerStats Stats = Service.stats();
+  EXPECT_EQ(Stats.ActiveHandles, 0u);
+  EXPECT_EQ(Stats.PinnedMatrices, 0u);
+  for (const uint64_t Handle : Handles)
+    EXPECT_FALSE(Service.describe(MatrixHandle{Handle}));
 }

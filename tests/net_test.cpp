@@ -32,6 +32,7 @@
 #include "net/Socket.h"
 #include "net/Wire.h"
 #include "serve/RequestTrace.h"
+#include "support/StringUtils.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <sstream>
 #include <thread>
 
 #include <dirent.h>
@@ -144,7 +146,8 @@ TEST(WireCodec, OpenRoundTripsBitExactly) {
 TEST(WireCodec, RequestsRoundTrip) {
   const auto Close = decodeClose(encodeClose(42));
   ASSERT_TRUE(Close);
-  EXPECT_EQ(*Close, 42u);
+  EXPECT_EQ(Close->Type, SessionOp::Kind::Close);
+  EXPECT_EQ(Close->Handle, 42u);
 
   const auto Select = decodeSelect(encodeSelect(7, 19));
   ASSERT_TRUE(Select);
@@ -169,7 +172,7 @@ TEST(WireCodec, RequestsRoundTrip) {
 
   const auto Fault = decodeFault(encodeFault("net.read nth=1 status=INTERNAL"));
   ASSERT_TRUE(Fault);
-  EXPECT_EQ(*Fault, "net.read nth=1 status=INTERNAL");
+  EXPECT_EQ(Fault->FaultSpec, "net.read nth=1 status=INTERNAL");
 
   // The bodyless requests are just their opcode byte.
   for (Op Kind : {Op::Stats, Op::Metrics, Op::Shutdown}) {
@@ -851,6 +854,135 @@ TEST(NetServerTest, ConnectionCloseReleasesHandles) {
   EXPECT_EQ(Service.stats().ActiveHandles, 0u);
   Server->requestStop();
   Server->join();
+}
+
+//===----------------------------------------------------------------------===//
+// One session model: the text codec over a local Session and over the wire
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Lines through a text front end in \p Mode applying on
+/// \p Apply — as a parsed trace replay, or line by line interactively —
+/// and returns what it printed.
+std::string frontEndOutput(const std::string &Lines, TextFrontEnd::Mode Mode,
+                           SessionApplyFn Apply) {
+  const KernelRegistry Registry;
+  SpanSink Spans;
+  std::ostringstream Out;
+  TextFrontEnd FrontEnd(std::move(Apply), Registry, Spans, Mode, &Out);
+  if (Mode == TextFrontEnd::Mode::Replay) {
+    const auto Script = parseTrace(Lines);
+    EXPECT_TRUE(Script) << Script.status().toString();
+    if (Script)
+      replayTrace(*Script, 1, FrontEnd);
+  } else {
+    std::istringstream In(Lines);
+    std::string Line;
+    while (std::getline(In, Line) && FrontEnd.runLine(Line)) {
+    }
+  }
+  return Out.str();
+}
+
+/// The front end's output for \p Lines applied on a fresh local Session,
+/// and applied over a loopback connection to a fresh served service.
+std::pair<std::string, std::string> localAndWire(const std::string &Lines,
+                                                 TextFrontEnd::Mode Mode) {
+  SeerService LocalService(tinyModels());
+  Session Local(LocalService);
+  std::string LocalOut = frontEndOutput(Lines, Mode, [&](SessionOp Op) {
+    return Local.apply(std::move(Op));
+  });
+
+  SeerService Remote(tinyModels());
+  ServiceFrameHandler Handler(Remote);
+  auto Server = startLoopback(Handler);
+  auto Client = NetClient::connect("127.0.0.1", Server->port());
+  EXPECT_TRUE(Client.ok()) << Client.status().toString();
+  std::string WireOut = frontEndOutput(
+      Lines, Mode, [&](SessionOp Op) { return Client->apply(Op); });
+  Server->requestStop();
+  Server->join();
+  return {LocalOut, WireOut};
+}
+
+TEST(SessionCodecTest, TextFrontEndPrintsIdenticalLinesLocallyAndOverTheWire) {
+  const std::string Trace = "seer-trace v2\n"
+                            "gen a powerlaw 512 1.8 1 64 31\n"
+                            "gen b banded 512 4 0.9 32\n"
+                            "select a 5\n"
+                            "execute b 19 verify\n"
+                            "batch a 4 5\n"
+                            "close a\n"
+                            "select a 5\n" // closed
+                            "open a\n"
+                            "open a\n" // already open
+                            "select a 19\n";
+  const auto [Local, Wire] = localAndWire(Trace, TextFrontEnd::Mode::Replay);
+  EXPECT_EQ(Local, Wire);
+
+  // Four responses and two name-level errors, nothing else: a replay
+  // prints no acks.
+  const std::vector<std::string> Lines = splitString(Local, '\n');
+  ASSERT_EQ(Lines.size(), 7u) << Local; // the trailing newline splits once more
+  EXPECT_EQ(Lines[0].rfind("a kernel=", 0), 0u);
+  EXPECT_NE(Lines[1].find(" oracle="), std::string::npos);
+  EXPECT_NE(Lines[2].find(" batch=4 "), std::string::npos);
+  EXPECT_EQ(Lines[3],
+            "error FAILED_PRECONDITION matrix 'a' is closed (open it first)");
+  EXPECT_EQ(Lines[4], "error ALREADY_EXISTS matrix 'a' is already open");
+  EXPECT_EQ(Lines[5].rfind("a kernel=", 0), 0u);
+  EXPECT_EQ(Lines[6], "");
+}
+
+TEST(SessionCodecTest, BatchCountOutOfRangeIsOneTypedErrorThroughBothCodecs) {
+  // The binary codec: the same op applied on a local Session and through
+  // NetClient -> ServiceFrameHandler -> Session.
+  SeerService LocalService(tinyModels());
+  Session Local(LocalService);
+  SeerService Remote(tinyModels());
+  ServiceFrameHandler Handler(Remote);
+  auto Server = startLoopback(Handler);
+  auto Client = NetClient::connect("127.0.0.1", Server->port());
+  ASSERT_TRUE(Client.ok()) << Client.status().toString();
+
+  SessionOp Open;
+  Open.Type = SessionOp::Kind::Open;
+  Open.Matrix = genMatrix(7);
+  const auto LocalOpen = Local.apply(Open);
+  const auto WireOpen = Client->apply(Open);
+  ASSERT_TRUE(LocalOpen && WireOpen);
+  for (const uint32_t Count : {0u, MaxBatchOperands + 1}) {
+    SessionOp Batch;
+    Batch.Type = SessionOp::Kind::Batch;
+    Batch.Count = Count;
+    Batch.Handle = LocalOpen->Handle;
+    const auto LocalAnswer = Local.apply(Batch);
+    Batch.Handle = WireOpen->Handle;
+    const auto WireAnswer = Client->apply(Batch);
+    ASSERT_FALSE(LocalAnswer);
+    ASSERT_FALSE(WireAnswer);
+    EXPECT_EQ(LocalAnswer.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(LocalAnswer.status().toString(), WireAnswer.status().toString());
+  }
+  Server->requestStop();
+  Server->join();
+
+  // The text codec: the parser rejects the same counts before any op
+  // exists, with the same line in process and over the wire.
+  const auto [LocalText, WireText] =
+      localAndWire("gen a banded 256 4 0.9 1\n"
+                   "batch a 0\n"
+                   "batch a 4097\n"
+                   "batch a 4096\n",
+                   TextFrontEnd::Mode::Interactive);
+  EXPECT_EQ(LocalText, WireText);
+  EXPECT_NE(LocalText.find("error INVALID_ARGUMENT bad batch operand count "
+                           "'0' (must be in [1, 4096])"),
+            std::string::npos)
+      << LocalText;
+  EXPECT_NE(LocalText.find("'4097' (must be in [1, 4096])"),
+            std::string::npos);
+  EXPECT_NE(LocalText.find(" batch=4096 "), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

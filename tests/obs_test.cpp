@@ -431,6 +431,9 @@ TEST(ObservabilityIntegrationTest, ServerStatsMatchesRegistry) {
   EXPECT_EQ(S.AsyncAccepted, Reg.counter("seer_async_accepted_total").value());
   EXPECT_EQ(S.Requests, 4u);
   EXPECT_EQ(S.Executions, 3u);
+  // The cache is probed once, at the one registration: a miss.
+  EXPECT_EQ(S.CacheHits, 0u);
+  EXPECT_EQ(S.CacheMisses, 1u);
 
   // Latency summary: derived from the seer_latency_us histogram.
   Histogram &Latency = Reg.histogram("seer_latency_us");
@@ -450,6 +453,7 @@ TEST(ObservabilityIntegrationTest, ServerStatsMatchesRegistry) {
   EXPECT_EQ(static_cast<uint64_t>(Reg.gauge("seer_cache_misses").value()),
             S.CacheMisses);
   EXPECT_DOUBLE_EQ(Reg.gauge("seer_hit_rate").value(), S.hitRate());
+  EXPECT_DOUBLE_EQ(S.hitRate(), 0.0);
 
   // The armed recorder saw the request pipeline: per-stage histograms
   // filled and spans recorded for every stage of a cache-miss execute.

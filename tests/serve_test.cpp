@@ -189,7 +189,10 @@ TEST(SeerServerTest, ConcurrentClientsBitIdentical) {
 
   const ServerStats Stats = Server.stats();
   EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
-  EXPECT_EQ(Stats.Requests, Stats.CacheHits + Stats.CacheMisses);
+  // The cache is probed once per registration; every distinct matrix
+  // missed at least once (racing first registrations each miss).
+  EXPECT_EQ(Stats.Registrations, Stats.CacheHits + Stats.CacheMisses);
+  EXPECT_GE(Stats.CacheMisses, Pool.size());
   EXPECT_EQ(Stats.Requests, Stats.KnownRoutes + Stats.GatheredRoutes);
   EXPECT_EQ(Stats.CachedMatrices, Pool.size());
   EXPECT_EQ(Stats.LatencySamples, Stats.Requests);
@@ -297,6 +300,13 @@ TEST(SeerServerTest, StatsResetZeroesTelemetryButKeepsCache) {
   const RegisteredMatrix Again = registerAliased(Server, requestPool()[0]);
   EXPECT_TRUE(Again.AnalysisReused);
   Server.releaseMatrix(Again);
+  // Cache outcomes count registrations, which the reset keeps, so they
+  // still add up across it: one miss, then one hit.
+  const ServerStats After = Server.stats();
+  EXPECT_EQ(After.Registrations, 2u);
+  EXPECT_EQ(After.CacheMisses, 1u);
+  EXPECT_EQ(After.CacheHits, 1u);
+  EXPECT_DOUBLE_EQ(After.hitRate(), 0.5);
 }
 
 //===----------------------------------------------------------------------===//
@@ -486,9 +496,12 @@ TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
 
   // Telemetry: one request, one route, one preprocessing charge, one
   // plan — N operand executions.
+  // The batch never probes the cache: its one registration paid the
+  // analysis, a miss.
   const ServerStats Stats = Batched.stats();
   EXPECT_EQ(Stats.Requests, 1u);
-  EXPECT_EQ(Stats.CacheHits, 1u);
+  EXPECT_EQ(Stats.CacheHits, 0u);
+  EXPECT_EQ(Stats.CacheMisses, 1u);
   EXPECT_EQ(Stats.Executions, Operands.size());
   EXPECT_EQ(Stats.PaidPreprocesses, 1u);
   EXPECT_EQ(Stats.AmortizedPreprocesses, 0u);
@@ -950,15 +963,16 @@ TEST(RequestTraceTest, ParsesBatchCommands) {
   const auto V1 = parseTrace("gen a banded 256 4 0.9 1\nbatch a 4\n");
   ASSERT_FALSE(V1);
   EXPECT_NE(V1.status().message().find("seer-trace v2"), std::string::npos);
-  // ...and parses into a Batch op with its operand count under v2.
+  // ...and parses into a Batch command with its operand count under v2.
   const auto V2 = parseTrace("seer-trace v2\n"
                              "gen a banded 256 4 0.9 1\n"
                              "batch a 4 5\n");
   ASSERT_TRUE(V2) << V2.status().toString();
-  ASSERT_EQ(V2->Ops.size(), 1u);
-  EXPECT_EQ(V2->Ops[0].Command, TraceScript::Op::Kind::Batch);
-  EXPECT_EQ(V2->Ops[0].BatchCount, 4u);
-  EXPECT_EQ(V2->Ops[0].Iterations, 5u);
+  ASSERT_EQ(V2->Commands.size(), 2u);
+  EXPECT_EQ(V2->opCount(), 1u);
+  EXPECT_EQ(V2->Commands[1].Command, TraceCommand::Kind::Batch);
+  EXPECT_EQ(V2->Commands[1].BatchCount, 4u);
+  EXPECT_EQ(V2->Commands[1].Iterations, 5u);
 }
 
 TEST(RequestTraceTest, BatchOperandsAreDeterministic) {
@@ -986,20 +1000,24 @@ TEST(RequestTraceTest, ParsesWholeTraceAndServesIt) {
   ASSERT_TRUE(Script) << Script.status().toString();
   EXPECT_EQ(Script->Version, 1);
   EXPECT_EQ(Script->Matrices.size(), 2u);
-  ASSERT_EQ(Script->Ops.size(), 3u);
-  EXPECT_EQ(Script->Ops[0].MatrixIndex, 0u);
-  EXPECT_EQ(Script->Ops[0].Command, TraceScript::Op::Kind::Select);
-  EXPECT_EQ(Script->Ops[1].Command, TraceScript::Op::Kind::Execute);
-  EXPECT_EQ(Script->Ops[1].Iterations, 19u);
+  // The setup lines stay in place, ahead of the three requests.
+  ASSERT_EQ(Script->Commands.size(), 5u);
+  EXPECT_EQ(Script->opCount(), 3u);
+  EXPECT_EQ(Script->Commands[0].Command, TraceCommand::Kind::Gen);
+  EXPECT_EQ(Script->Commands[2].Name, "a");
+  EXPECT_EQ(Script->Commands[2].Command, TraceCommand::Kind::Select);
+  EXPECT_EQ(Script->Commands[3].Command, TraceCommand::Kind::Execute);
+  EXPECT_EQ(Script->Commands[3].Iterations, 19u);
 
   SeerServer Server(tinyModels());
-  for (const TraceScript::Op &Op : Script->Ops) {
+  for (const TraceCommand &Op : Script->Commands) {
+    if (Op.Command == TraceCommand::Kind::Gen)
+      continue;
     const ServeResponse Response = serveOnce(
-        Server, Script->Matrices[Op.MatrixIndex].second,
-        options(Op.Iterations, Op.Command == TraceScript::Op::Kind::Execute));
-    const std::string Line = formatResponseLine(
-        Script->Matrices[Op.MatrixIndex].first, Response,
-        Server.registry());
+        Server, Script->Matrices[Script->matrixIndex(Op.Name)].second,
+        options(Op.Iterations, Op.Command == TraceCommand::Kind::Execute));
+    const std::string Line =
+        formatResponseLine(Op.Name, Response, Server.registry());
     EXPECT_NE(Line.find("kernel="), std::string::npos);
   }
   EXPECT_EQ(Server.stats().Requests, 3u);
@@ -1016,9 +1034,10 @@ TEST(RequestTraceTest, ParsesV2HeaderAndHandleCommands) {
   const auto Script = parseTrace(Text);
   ASSERT_TRUE(Script) << Script.status().toString();
   EXPECT_EQ(Script->Version, 2);
-  ASSERT_EQ(Script->Ops.size(), 5u);
-  EXPECT_EQ(Script->Ops[1].Command, TraceScript::Op::Kind::Close);
-  EXPECT_EQ(Script->Ops[3].Command, TraceScript::Op::Kind::Open);
+  ASSERT_EQ(Script->Commands.size(), 6u);
+  EXPECT_EQ(Script->opCount(), 5u);
+  EXPECT_EQ(Script->Commands[2].Command, TraceCommand::Kind::Close);
+  EXPECT_EQ(Script->Commands[4].Command, TraceCommand::Kind::Open);
 
   // open/close without the header are parse errors...
   const auto V1 = parseTrace("gen a banded 256 4 0.9 1\nclose a\n");
@@ -1110,14 +1129,19 @@ TEST(RequestTraceTest, HandlePathBitIdenticalToOneShotRuntimeOnSameTrace) {
     Handles.push_back(*Handle);
   }
 
+  std::vector<const TraceCommand *> Ops;
+  for (const TraceCommand &Command : Script->Commands)
+    if (Command.Command != TraceCommand::Kind::Gen)
+      Ops.push_back(&Command);
   std::vector<ServeResponse> Responses;
-  for (size_t I = 0; I < Script->Ops.size(); ++I) {
-    const TraceScript::Op &Op = Script->Ops[I];
-    const CsrMatrix &M = Script->Matrices[Op.MatrixIndex].second;
+  for (size_t I = 0; I < Ops.size(); ++I) {
+    const TraceCommand &Op = *Ops[I];
+    const size_t MatrixIndex = Script->matrixIndex(Op.Name);
+    const CsrMatrix &M = Script->Matrices[MatrixIndex].second;
     Request R;
-    R.Handle = Handles[Op.MatrixIndex];
+    R.Handle = Handles[MatrixIndex];
     R.Iterations = Op.Iterations;
-    R.Execute = Op.Command == TraceScript::Op::Kind::Execute;
+    R.Execute = Op.Command == TraceCommand::Kind::Execute;
     R.VerifyOracle = Op.Verify;
     const auto Response = Service.serve(R);
     ASSERT_TRUE(Response) << Response.status().toString();

@@ -32,6 +32,14 @@ Tree checks (always run; see README "Static analysis"):
     metric; the ServerStats field -> metric map below stays in
     bidirectional sync with struct ServerStats and the registry.
 
+ 6. One dispatcher. `Session::apply()` (src/api/Session.cpp) is the one
+    place serving front ends turn ops into service calls, so the
+    SeerService entry points it owns — `registerMatrix(`,
+    `serveAdmitted(`, `executeBatch(` — may not be called from tools/
+    or src/net/, where a second hand-written dispatcher would grow.
+    Tests, bench/ and perfbench/ drive the service directly and are not
+    checked.
+
 Exposition check (with --metrics FILE; absorbed from the former
 tools/metrics_lint.py): the Prometheus text exposition grammar —
 `# TYPE` lines, counter `_total` suffix rules, cumulative histogram
@@ -661,6 +669,26 @@ def lint_metrics_file(root, metrics_file, lint):
 
 
 # --------------------------------------------------------------------------
+# Check 6 implementation
+# --------------------------------------------------------------------------
+
+DISPATCH_ONLY_RE = re.compile(
+    r"\b(registerMatrix|serveAdmitted|executeBatch)\s*\(")
+
+
+def lint_one_dispatcher(root, lint):
+    for path in iter_source_files(root, ["tools", "src/net"]):
+        relpath = rel(root, path)
+        for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+            m = DISPATCH_ONLY_RE.search(strip_line_comment(raw))
+            if m:
+                lint.error(f"{relpath}:{line_no}",
+                           f"calls {m.group(1)}() outside Session::apply — "
+                           "build a SessionOp and apply it on a Session "
+                           "(api/Session.h) instead")
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -683,6 +711,7 @@ def main():
     lint_deprecation_pragmas(root, lint)
     lint_suppressions(root, lint)
     lint_fault_sites(root, lint)
+    lint_one_dispatcher(root, lint)
     metrics = lint_doc_cross_checks(root, lint)
 
     seen = set()

@@ -6,23 +6,25 @@
 //
 // Replays a scripted request trace against a networked seer-serve (or a
 // seer-lb front-end) through the binary wire protocol (net/Wire.h),
-// printing the same response lines an in-process single-client replay of
-// the same trace prints. That byte-identity is the point: the CI
-// loopback smoke job and the serving bench both diff this tool's output
-// against `seer-serve --trace` to prove the transport neither perturbs
-// selections nor loses precision (doubles travel as IEEE-754 bit
-// patterns).
+// printing the same lines an in-process single-client replay of the same
+// trace prints. That byte-identity is the point: the CI loopback smoke
+// job diffs this tool's output against `seer-serve --trace` to prove the
+// transport neither perturbs selections nor loses precision (doubles
+// travel as IEEE-754 bit patterns). It holds by construction: both tools
+// run the one text front end of serve/RequestTrace.h, which decides every
+// name-level error locally; only where the ops are applied differs —
+// here NetClient::apply, there a local Session.
 //
 //   seer-netclient --connect HOST:PORT --trace FILE [--repeat K]
 //                  [--strict] [--shutdown]
 //
-// Matrices are registered up front (one Open frame each, exactly like
-// the in-process replay pays registration once at definition), then the
-// operation sequence is walked K times over one connection. `--strict`
-// is the chaos gate of seer-serve carried over the wire: error lines,
-// exhausted retry budgets, or breaker opens (read from the server's
-// stats snapshot) fail the run. `--shutdown` sends the wire Shutdown op
-// at the end — how the bench tears down the shard fleet it spawned.
+// Each matrix is opened (one Open frame) at its definition line, then
+// the command sequence is walked K times over one connection.
+// `--strict` is the chaos gate of seer-serve carried over the wire:
+// error lines, exhausted retry budgets, or breaker opens (read from the
+// server's stats snapshot) fail the run. `--shutdown` sends the wire
+// Shutdown op at the end — how a spawner tears down the fleet it
+// started.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +37,9 @@
 #include "support/StringUtils.h"
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
+#include <iostream>
 #include <string>
-#include <vector>
 
 using namespace seer;
 using namespace seer::tools;
@@ -90,123 +91,6 @@ uint64_t statValue(const std::string &StatsText, const std::string &Name) {
   return 0;
 }
 
-/// Walks the script's operation sequence \p Repeat times over \p Client,
-/// printing exactly what replayV2 in seer-serve prints for a single
-/// client. \returns the number of operations answered with an error line.
-uint64_t replayOverWire(net::NetClient &Client, const TraceScript &Script,
-                        unsigned Repeat, const KernelRegistry &Registry) {
-  uint64_t Errors = 0;
-  const auto Fail = [&](const Status &S) {
-    ++Errors;
-    std::printf("%s\n", formatErrorLine(S).c_str());
-  };
-
-  // Matrices auto-open at definition, as in the in-process replay; a
-  // remote handle of 0 means "closed" (the server mints from 1).
-  std::vector<uint64_t> Handles(Script.Matrices.size(), 0);
-  const auto Register = [&](size_t MatrixIndex) -> bool {
-    const auto Reply = Client.open(Script.Matrices[MatrixIndex].first,
-                                   Script.Matrices[MatrixIndex].second);
-    if (!Reply) {
-      Fail(Reply.status());
-      return false;
-    }
-    Handles[MatrixIndex] = Reply->Handle;
-    return true;
-  };
-  for (size_t I = 0; I < Script.Matrices.size(); ++I)
-    (void)Register(I);
-
-  for (unsigned K = 0; K < Repeat; ++K)
-    for (const TraceScript::Op &Op : Script.Ops) {
-      if (Op.Command == TraceScript::Op::Kind::Fault) {
-        if (const Status S = Client.fault(Op.FaultSpec); !S.ok())
-          Fail(S);
-        else
-          std::printf("ok fault %s\n", Op.FaultSpec.c_str());
-        continue;
-      }
-      if (Op.Command == TraceScript::Op::Kind::Metrics) {
-        const auto Text = Client.metricsText();
-        if (!Text)
-          Fail(Text.status());
-        else
-          std::printf("%s", Text->c_str());
-        continue;
-      }
-      if (Op.Command == TraceScript::Op::Kind::Spans) {
-        // Spans are a process-local observability command with no wire
-        // op; print the disarmed-recorder form the in-process replay
-        // prints when no --trace-out armed the recorder.
-        std::printf("%s", formatSpanLines({}, Op.SpanCount).c_str());
-        continue;
-      }
-      const std::string &Name = Script.Matrices[Op.MatrixIndex].first;
-      switch (Op.Command) {
-      case TraceScript::Op::Kind::Fault:
-      case TraceScript::Op::Kind::Metrics:
-      case TraceScript::Op::Kind::Spans:
-        break; // handled above
-      case TraceScript::Op::Kind::Open: {
-        if (Handles[Op.MatrixIndex] != 0)
-          break; // already open; idempotent in replay
-        (void)Register(Op.MatrixIndex);
-        break;
-      }
-      case TraceScript::Op::Kind::Close: {
-        const Status S = Client.close(Handles[Op.MatrixIndex]);
-        Handles[Op.MatrixIndex] = 0;
-        if (!S.ok())
-          Fail(S);
-        break;
-      }
-      case TraceScript::Op::Kind::Batch: {
-        // The closed-name guard stays client-side so the error line is
-        // byte-identical to the in-process replay's (the server's own
-        // message would name the dead handle id instead).
-        if (Handles[Op.MatrixIndex] == 0) {
-          Fail(Status::failedPrecondition("matrix '" + Name +
-                                          "' is closed (open it first)"));
-          break;
-        }
-        const auto Response = Client.batch(Handles[Op.MatrixIndex],
-                                           Op.BatchCount, Op.Iterations);
-        if (!Response)
-          Fail(Response.status());
-        else
-          std::printf("%s\n",
-                      formatBatchResponseLine(Name, *Response, Registry)
-                          .c_str());
-        break;
-      }
-      case TraceScript::Op::Kind::Select:
-      case TraceScript::Op::Kind::Execute: {
-        if (Handles[Op.MatrixIndex] == 0) {
-          Fail(Status::failedPrecondition("matrix '" + Name +
-                                          "' is closed (open it first)"));
-          break;
-        }
-        const auto Response =
-            Op.Command == TraceScript::Op::Kind::Execute
-                ? Client.execute(Handles[Op.MatrixIndex], Op.Iterations,
-                                 Op.Verify, /*Operand=*/{})
-                : Client.select(Handles[Op.MatrixIndex], Op.Iterations);
-        if (!Response)
-          Fail(Response.status());
-        else
-          std::printf("%s\n",
-                      formatResponseLine(Name, *Response, Registry).c_str());
-        break;
-      }
-      }
-    }
-
-  for (size_t I = 0; I < Handles.size(); ++I)
-    if (Handles[I] != 0)
-      (void)Client.close(Handles[I]);
-  return Errors;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -243,8 +127,15 @@ int main(int Argc, char **Argv) {
   // response lines exactly as the server-side formatter does.
   const KernelRegistry Registry;
 
+  // The same text front end as `seer-serve --trace`, applying each op
+  // over the wire instead of on a local Session. This process records no
+  // spans, so `spans N` prints the disarmed form a local replay prints.
+  SpanSink Spans;
+  TextFrontEnd FrontEnd([&Client](SessionOp Op) { return Client.apply(Op); },
+                        Registry, Spans, TextFrontEnd::Mode::Replay,
+                        &std::cout);
   const auto Start = std::chrono::steady_clock::now();
-  const uint64_t Errors = replayOverWire(Client, *Script, Repeat, Registry);
+  const uint64_t Errors = replayTrace(*Script, Repeat, FrontEnd);
   const double WallSeconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - Start)
                                  .count();
@@ -259,7 +150,7 @@ int main(int Argc, char **Argv) {
   const uint64_t Requests = statValue(*StatsText, "requests");
   std::printf("replayed %zu ops x %u clients x %u in %.3fs "
               "(%.0f req/s, %llu errors)\n",
-              Script->Ops.size(), 1u, Repeat, WallSeconds,
+              Script->opCount(), 1u, Repeat, WallSeconds,
               WallSeconds > 0 ? static_cast<double>(Requests) / WallSeconds
                               : 0.0,
               static_cast<unsigned long long>(Errors));

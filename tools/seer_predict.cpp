@@ -9,10 +9,11 @@
 //   seer-predict --models DIR [--iterations N] file.mtx [file.mtx ...]
 //
 // Loads the .tree bundle written by seer-train into a SeerService
-// (serving API v2) and, per input file, registers the matrix, serves one
-// handle-based selection (or execution with --execute), and releases the
-// handle. The report quotes the *modeled* one-shot costs from the
-// response (ModeledCollectionMs / ModeledPreprocessMs), so the numbers
+// (serving API v2) and, per input file, opens the matrix in its own
+// Session (api/Session.h), serves one handle-based selection (or
+// execution with --execute), and lets the Session release the handle.
+// The report quotes the *modeled* one-shot costs from the response
+// (ModeledCollectionMs / ModeledPreprocessMs), so the numbers
 // are the Fig. 3 breakdown even though the service charges registration
 // work only once — human-readable by default, one JSON object per matrix
 // with --json.
@@ -22,6 +23,7 @@
 #include "ToolSupport.h"
 
 #include "api/SeerService.h"
+#include "api/Session.h"
 #include "core/ModelBundle.h"
 #include "support/ThreadPool.h"
 
@@ -153,35 +155,39 @@ int main(int Argc, char **Argv) {
     fatal(Models.status());
   SeerService Service(std::move(*Models));
 
-  // Files are independent: register + serve (and release) on workers,
-  // then print in input order. The session API is thread-safe, and
-  // repeat files share one cache entry (analysis paid once).
+  // Files are independent: each worker opens its file in its own
+  // Session, serves it, and the Session releases the handle; results print
+  // in input order. Repeat files share one cache entry (analysis paid
+  // once).
   const std::vector<std::string> &Paths = Cmd.positional();
   std::vector<FileResult> Results(Paths.size());
   parallelFor(Parallelism, Paths.size(), [&](size_t I) {
     FileResult &R = Results[I];
     R.Name = std::filesystem::path(Paths[I]).stem().string();
-    auto Handle = Service.registerMatrix(MatrixMarketSource{Paths[I]});
-    if (!Handle) {
-      R.Error = Handle.status().toString();
+    Session Client(Service);
+    SessionOp Op;
+    Op.Type = SessionOp::Kind::Open;
+    Op.Matrix = MatrixMarketSource{Paths[I]};
+    const auto Opened = Client.apply(std::move(Op));
+    if (!Opened) {
+      R.Error = Opened.status().toString();
       return;
     }
-    const auto Info = Service.describe(*Handle);
-    if (Info) {
-      R.Rows = Info->NumRows;
-      R.Cols = Info->NumCols;
-      R.Nnz = Info->Nnz;
+    R.Rows = Opened->Info.NumRows;
+    R.Cols = Opened->Info.NumCols;
+    R.Nnz = Opened->Info.Nnz;
+    Op = SessionOp();
+    Op.Type = Execute ? SessionOp::Kind::Execute : SessionOp::Kind::Select;
+    Op.Handle = Opened->Handle;
+    Op.Iterations = Iterations;
+    const auto Served = Client.apply(std::move(Op));
+    if (!Served) {
+      R.Error = Served.status().toString();
+      return;
     }
-    const auto Response = Execute ? Service.execute(*Handle, Iterations)
-                                  : Service.select(*Handle, Iterations);
-    if (!Response) {
-      R.Error = Response.status().toString();
-    } else {
-      R.Response = *Response;
-      R.KernelName =
-          Service.registry().kernel(R.Response.Selection.KernelIndex).name();
-    }
-    Service.release(*Handle);
+    R.Response = Served->Response;
+    R.KernelName =
+        Service.registry().kernel(R.Response.Selection.KernelIndex).name();
   });
 
   for (const FileResult &R : Results) {

@@ -6,27 +6,35 @@
 //
 // Long-running counterpart of seer-predict: loads the trained model
 // bundle once into a SeerService (serving API v2) and serves
-// selection/execution requests through session handles. Two modes:
+// selection/execution requests through session handles. Three modes:
 //
 //   seer-serve --models DIR                     line protocol on stdin
 //   seer-serve --models DIR --trace FILE        replay a scripted trace
 //              [--clients N] [--repeat K]
+//   seer-serve --models DIR --listen HOST:PORT  binary wire protocol
+//
+// Every mode is a codec over one session model (api/Session.h): each
+// client is a Session that applies its ops and owns its handles. Stdin
+// and trace replay run the text front end of serve/RequestTrace.h, which
+// prints `ok ...` acks only on stdin; the listener decodes wire frames
+// into the same ops (net/NetServer.h).
 //
 // Defining a matrix (load/gen) registers it with the service — the
 // fingerprint and single-pass analysis are paid exactly once, there —
 // and `close`/`open` script the handle lifecycle. Requests against a
-// closed name are answered with a typed `error CODE ...` line and the
-// session continues; nothing short of EOF/quit stops a server.
+// closed name, and `open` of an open one, are answered with a typed
+// `error CODE ...` line and the session continues; nothing short of
+// EOF/quit stops a server.
 //
-// In trace mode, N client threads each replay the trace's operation
-// sequence K times concurrently against the shared service, each thread
-// with its own handles (concurrent registrations of the same content
-// share one pinned cache entry), then the telemetry snapshot and a
-// throughput summary are printed. With a single client the per-request
-// response lines are printed too (in order), so a trace doubles as a
-// readable demo. A trace without a `seer-trace v2` header is the same
-// replay restricted at parse time to setup, select and execute lines, so
-// it answers line for line what the trace answers behind the header.
+// In trace mode, N client threads each replay the trace K times
+// concurrently against the shared service, each its own Session
+// (concurrent registrations of the same content share one pinned cache
+// entry), then the telemetry snapshot and a throughput summary are
+// printed. A single client also prints its response lines, so a trace
+// doubles as a readable demo. Replay requests pass admission like wire
+// requests, with the capacity sized to at least N. A trace without a
+// `seer-trace v2` header is the same replay restricted at parse time to
+// setup, select and execute lines.
 //
 // The protocol grammar is documented in serve/RequestTrace.h and the
 // README's "Serving" section.
@@ -36,6 +44,7 @@
 #include "ToolSupport.h"
 
 #include "api/SeerService.h"
+#include "api/Session.h"
 #include "core/ModelBundle.h"
 #include "net/NetServer.h"
 #include "net/Socket.h"
@@ -49,7 +58,6 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <thread>
 
 using namespace seer;
@@ -113,199 +121,34 @@ constexpr const char *Usage =
     "armed-only per-stage histograms (seer_stage_*_us, seer_cost_model_*)\n"
     "and the 'metrics' / 'spans N' protocol commands.\n";
 
-/// Accumulates drained spans across the session so the `spans` command
-/// (which empties the recorder's rings) and the exit-time --trace-out
-/// export see one coherent timeline. Mutex-guarded: trace replays drain
-/// from client threads.
-struct SpanSink {
-  std::mutex M;
-  std::vector<TraceSpan> Spans;
-
-  /// Moves everything currently in the recorder into the sink, keeping
-  /// the global (StartNs, Seq) order.
-  void drain() {
-    std::vector<TraceSpan> Fresh = SpanRecorder::instance().drain();
-    std::lock_guard<std::mutex> Lock(M);
-    Spans.insert(Spans.end(), Fresh.begin(), Fresh.end());
-    std::sort(Spans.begin(), Spans.end(),
-              [](const TraceSpan &A, const TraceSpan &B) {
-                return A.StartNs != B.StartNs ? A.StartNs < B.StartNs
-                                              : A.Seq < B.Seq;
-              });
-  }
-
-  /// The `spans N` response: the newest \p Count spans seen so far.
-  std::string spanLines(uint32_t Count) {
-    drain();
-    std::lock_guard<std::mutex> Lock(M);
-    return formatSpanLines(Spans, Count);
-  }
-
-  /// The --trace-out payload.
-  std::string chromeJson() {
-    drain();
-    std::lock_guard<std::mutex> Lock(M);
-    return SpanRecorder::chromeTraceJson(Spans);
-  }
-};
-
+/// The process's span timeline: the `spans` command and the exit-time
+/// --trace-out export read it.
 SpanSink Sink;
 
-/// One client's replay of a trace (headerless or v2 — the headerless
-/// dialect is a parse-time subset, so one replay serves both): registers
-/// its own handles for the trace's matrices and walks the operation
-/// sequence. Response/error lines are printed only when \p Print
-/// (single-client mode). \returns the number of operations answered with
-/// an error line — counted even when nothing is printed, so --strict
-/// works at any client count.
-uint64_t replayV2(SeerService &Service, const TraceScript &Script,
-                  unsigned Repeat, bool Print) {
-  uint64_t Errors = 0;
-  // Zero-copy registration: the parsed script outlives the service (and
-  // every registration is released before this function returns), so
-  // each client shares the parser's matrix instead of copying it.
-  const auto Register = [&](size_t MatrixIndex) {
-    return Service.registerMatrix(std::shared_ptr<const CsrMatrix>(
-        std::shared_ptr<void>(), &Script.Matrices[MatrixIndex].second));
-  };
-
-  // Matrices auto-open at definition; open/close ops toggle from there.
-  std::vector<MatrixHandle> Handles(Script.Matrices.size());
-  for (size_t I = 0; I < Script.Matrices.size(); ++I) {
-    auto Handle = Register(I);
-    if (!Handle) { // cannot happen for a parsed trace; surface anyway
-      ++Errors;
-      if (Print)
-        std::printf("%s\n", formatErrorLine(Handle.status()).c_str());
-      continue;
-    }
-    Handles[I] = *Handle;
-  }
-
-  const auto Fail = [&](const Status &S) {
-    ++Errors;
-    if (Print)
-      std::printf("%s\n", formatErrorLine(S).c_str());
-  };
-
-  for (unsigned K = 0; K < Repeat; ++K)
-    for (const TraceScript::Op &Op : Script.Ops) {
-      if (Op.Command == TraceScript::Op::Kind::Fault) {
-        // Fault directives mutate process-wide state; a chaos trace is
-        // expected to run with one client so they land deterministically
-        // between requests.
-        if (const Status S = applyFaultSpec(Op.FaultSpec); !S.ok())
-          Fail(S);
-        else if (Print)
-          std::printf("ok fault %s\n", Op.FaultSpec.c_str());
-        continue;
-      }
-      if (Op.Command == TraceScript::Op::Kind::Metrics) {
-        // The exposition is a point-in-time observation, not a response:
-        // only the printing client emits it.
-        if (Print)
-          std::printf("%s", Service.metricsPrometheus().c_str());
-        continue;
-      }
-      if (Op.Command == TraceScript::Op::Kind::Spans) {
-        if (Print)
-          std::printf("%s", Sink.spanLines(Op.SpanCount).c_str());
-        else
-          Sink.drain(); // keep the rings from overwriting under load
-        continue;
-      }
-      const std::string &Name = Script.Matrices[Op.MatrixIndex].first;
-      switch (Op.Command) {
-      case TraceScript::Op::Kind::Fault:
-      case TraceScript::Op::Kind::Metrics:
-      case TraceScript::Op::Kind::Spans:
-        break; // handled above
-      case TraceScript::Op::Kind::Open: {
-        if (Handles[Op.MatrixIndex].valid())
-          break; // already open; idempotent in replay
-        auto Handle = Register(Op.MatrixIndex);
-        if (Handle)
-          Handles[Op.MatrixIndex] = *Handle;
-        else
-          Fail(Handle.status());
-        break;
-      }
-      case TraceScript::Op::Kind::Close: {
-        const Status S = Service.release(Handles[Op.MatrixIndex]);
-        Handles[Op.MatrixIndex] = MatrixHandle();
-        if (!S.ok())
-          Fail(S);
-        break;
-      }
-      case TraceScript::Op::Kind::Batch: {
-        if (!Handles[Op.MatrixIndex].valid()) {
-          Fail(Status::failedPrecondition("matrix '" + Name +
-                                          "' is closed (open it first)"));
-          break;
-        }
-        const auto Operands = buildBatchOperands(
-            Op.BatchCount,
-            Script.Matrices[Op.MatrixIndex].second.numCols());
-        const auto Response = Service.executeBatch(Handles[Op.MatrixIndex],
-                                                   Operands, Op.Iterations);
-        if (!Response)
-          Fail(Response.status());
-        else if (Print)
-          std::printf("%s\n",
-                      formatBatchResponseLine(Name, *Response,
-                                              Service.registry())
-                          .c_str());
-        break;
-      }
-      case TraceScript::Op::Kind::Select:
-      case TraceScript::Op::Kind::Execute: {
-        if (!Handles[Op.MatrixIndex].valid()) {
-          Fail(Status::failedPrecondition("matrix '" + Name +
-                                          "' is closed (open it first)"));
-          break;
-        }
-        Request R;
-        R.Handle = Handles[Op.MatrixIndex];
-        R.Iterations = Op.Iterations;
-        R.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-        R.VerifyOracle = Op.Verify;
-        const auto Response = Service.serve(R);
-        if (!Response)
-          Fail(Response.status());
-        else if (Print)
-          std::printf("%s\n",
-                      formatResponseLine(Name, *Response,
-                                         Service.registry())
-                          .c_str());
-        break;
-      }
-      }
-    }
-
-  for (MatrixHandle Handle : Handles)
-    if (Handle.valid())
-      Service.release(Handle);
-  return Errors;
-}
-
-/// Replays the trace with \p Clients concurrent clients and prints the
-/// telemetry snapshot plus a throughput summary. \returns the total
-/// number of error-line outcomes across all clients (the --strict gate).
+/// Replays the trace with \p Clients concurrent clients, each its own
+/// Session (handles) and text front end over the shared service, and
+/// prints the telemetry snapshot plus a throughput summary. Only a single
+/// client prints its response and error lines. \returns the total number
+/// of error-line outcomes across all clients (the --strict gate).
 uint64_t runTrace(SeerService &Service, const TraceScript &Script,
                   unsigned Clients, unsigned Repeat) {
   const auto Start = std::chrono::steady_clock::now();
   std::atomic<uint64_t> Errors{0};
-  const auto RunClient = [&](bool Print) {
-    Errors.fetch_add(replayV2(Service, Script, Repeat, Print),
+  const auto RunClient = [&](std::ostream *Out) {
+    Session Client(Service);
+    TextFrontEnd FrontEnd(
+        [&Client](SessionOp Op) { return Client.apply(std::move(Op)); },
+        Service.registry(), Sink, TextFrontEnd::Mode::Replay, Out);
+    Errors.fetch_add(replayTrace(Script, Repeat, FrontEnd),
                      std::memory_order_relaxed);
   };
   if (Clients <= 1) {
-    RunClient(/*Print=*/true);
+    RunClient(&std::cout);
   } else {
     std::vector<std::thread> Threads;
     Threads.reserve(Clients);
     for (unsigned C = 0; C < Clients; ++C)
-      Threads.emplace_back([&] { RunClient(/*Print=*/false); });
+      Threads.emplace_back([&] { RunClient(nullptr); });
     for (std::thread &T : Threads)
       T.join();
   }
@@ -317,7 +160,7 @@ uint64_t runTrace(SeerService &Service, const TraceScript &Script,
   std::printf("%s", formatStatsLines(Stats).c_str());
   std::printf("replayed %zu ops x %u clients x %u in %.3fs "
               "(%.0f req/s, %llu errors)\n",
-              Script.Ops.size(), Clients, Repeat, WallSeconds,
+              Script.opCount(), Clients, Repeat, WallSeconds,
               WallSeconds > 0 ? static_cast<double>(Stats.Requests) /
                                     WallSeconds
                               : 0.0,
@@ -325,177 +168,17 @@ uint64_t runTrace(SeerService &Service, const TraceScript &Script,
   return Errors.load();
 }
 
-int runStdin(SeerService &Service) {
-  /// Session state per name: how to rebuild the matrix (so `open` after
-  /// `close` can re-register without keeping a second CSR copy) and the
-  /// current handle (invalid while closed).
-  struct NamedMatrix {
-    std::string Name;
-    MatrixInput Source;
-    MatrixHandle Handle;
-  };
-  std::vector<NamedMatrix> Matrices;
-  const auto Find = [&](const std::string &Name) -> NamedMatrix * {
-    for (NamedMatrix &M : Matrices)
-      if (M.Name == Name)
-        return &M;
-    return nullptr;
-  };
-  const auto PrintError = [](const Status &S) {
-    std::printf("%s\n", formatErrorLine(S).c_str());
-  };
-  const auto OpenAndAck = [&](NamedMatrix &M) {
-    auto Handle = Service.registerMatrix(M.Source);
-    if (!Handle) {
-      PrintError(Handle.status());
-      return;
-    }
-    M.Handle = *Handle;
-    const auto Info = Service.describe(M.Handle);
-    std::printf("ok %s %ux%u %llu nnz handle=%llu\n", M.Name.c_str(),
-                Info->NumRows, Info->NumCols,
-                static_cast<unsigned long long>(Info->Nnz),
-                static_cast<unsigned long long>(M.Handle.Id));
-  };
-
+/// The interactive line protocol on stdin, acknowledging every open and
+/// close, until EOF or `quit`.
+void runInteractive(SeerService &Service) {
+  Session Client(Service);
+  TextFrontEnd FrontEnd(
+      [&Client](SessionOp Op) { return Client.apply(std::move(Op)); },
+      Service.registry(), Sink, TextFrontEnd::Mode::Interactive,
+      &std::cout);
   std::string Line;
-  while (std::getline(std::cin, Line)) {
-    TraceCommand Command;
-    if (const Status S = parseTraceLine(Line, Command); !S.ok()) {
-      PrintError(S);
-      std::fflush(stdout);
-      continue;
-    }
-    switch (Command.Command) {
-    case TraceCommand::Kind::Blank:
-      break;
-    case TraceCommand::Kind::Version:
-      std::printf("ok seer-trace v2\n"); // the session API is always v2
-      break;
-    case TraceCommand::Kind::Quit:
-      return 0;
-    case TraceCommand::Kind::Stats:
-      std::printf("%s", formatStatsLines(Service.stats()).c_str());
-      break;
-    case TraceCommand::Kind::Metrics:
-      std::printf("%s", Service.metricsPrometheus().c_str());
-      break;
-    case TraceCommand::Kind::Spans:
-      std::printf("%s", Sink.spanLines(Command.SpanCount).c_str());
-      break;
-    case TraceCommand::Kind::Fault: {
-      if (const Status S = applyFaultSpec(Command.FaultSpec); !S.ok())
-        PrintError(S);
-      else
-        std::printf("ok fault %s\n", Command.FaultSpec.c_str());
-      break;
-    }
-    case TraceCommand::Kind::Load:
-    case TraceCommand::Kind::Gen: {
-      if (Find(Command.Name)) {
-        PrintError(Status::alreadyExists("duplicate matrix name '" +
-                                         Command.Name + "'"));
-        break;
-      }
-      MatrixInput Source =
-          Command.Command == TraceCommand::Kind::Load
-              ? MatrixInput(MatrixMarketSource{Command.Path})
-              : MatrixInput(GeneratorSpec{Command.GenFamily, Command.GenArgs});
-      Matrices.push_back(
-          NamedMatrix{Command.Name, std::move(Source), MatrixHandle()});
-      OpenAndAck(Matrices.back());
-      if (!Matrices.back().Handle.valid())
-        Matrices.pop_back(); // registration failed; forget the name
-      break;
-    }
-    case TraceCommand::Kind::Open: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      if (M->Handle.valid()) {
-        PrintError(Status::alreadyExists("matrix '" + Command.Name +
-                                         "' is already open"));
-        break;
-      }
-      OpenAndAck(*M);
-      break;
-    }
-    case TraceCommand::Kind::Close: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      const Status S = Service.release(M->Handle);
-      M->Handle = MatrixHandle();
-      if (!S.ok()) {
-        PrintError(S);
-        break;
-      }
-      std::printf("ok closed %s\n", Command.Name.c_str());
-      break;
-    }
-    case TraceCommand::Kind::Batch: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      if (!M->Handle.valid()) {
-        PrintError(Status::failedPrecondition(
-            "matrix '" + Command.Name + "' is closed (open it first)"));
-        break;
-      }
-      const auto Info = Service.describe(M->Handle);
-      if (!Info) {
-        PrintError(Info.status());
-        break;
-      }
-      const auto Response = Service.executeBatch(
-          M->Handle, buildBatchOperands(Command.BatchCount, Info->NumCols),
-          Command.Iterations);
-      if (!Response) {
-        PrintError(Response.status());
-        break;
-      }
-      std::printf("%s\n", formatBatchResponseLine(Command.Name, *Response,
-                                                  Service.registry())
-                              .c_str());
-      break;
-    }
-    case TraceCommand::Kind::Select:
-    case TraceCommand::Kind::Execute: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      if (!M->Handle.valid()) {
-        PrintError(Status::failedPrecondition(
-            "matrix '" + Command.Name + "' is closed (open it first)"));
-        break;
-      }
-      Request R;
-      R.Handle = M->Handle;
-      R.Iterations = Command.Iterations;
-      R.Execute = Command.Command == TraceCommand::Kind::Execute;
-      R.VerifyOracle = Command.Verify;
-      const auto Response = Service.serve(R);
-      if (!Response) {
-        PrintError(Response.status());
-        break;
-      }
-      std::printf("%s\n", formatResponseLine(Command.Name, *Response,
-                                             Service.registry())
-                              .c_str());
-      break;
-    }
-    }
-    std::fflush(stdout);
+  while (std::getline(std::cin, Line) && FrontEnd.runLine(Line)) {
   }
-  return 0;
 }
 
 } // namespace
@@ -603,6 +286,18 @@ int main(int Argc, char **Argv) {
   if (ShardsArg < 1 || ShardsArg > 4096)
     fatal("--cache-shards must be in [1, 4096]");
   Config.Server.CacheShards = static_cast<size_t>(ShardsArg);
+  const std::string TracePath = Cmd.flag("trace");
+  const int64_t ClientsArg = Cmd.intFlag("clients", 1);
+  const int64_t RepeatArg = Cmd.intFlag("repeat", 1);
+  if (!TracePath.empty()) {
+    if (ClientsArg < 1 || ClientsArg > 4096 || RepeatArg < 1 ||
+        RepeatArg > 1000000)
+      fatal("--clients must be in [1, 4096] and --repeat in [1, 1000000]");
+    // Each replay client holds at most one admitted request at a time,
+    // so admission sized to the client count never turns one away.
+    Config.AsyncQueueCapacity =
+        std::max(Config.AsyncQueueCapacity, static_cast<size_t>(ClientsArg));
+  }
   SeerService Service(std::move(*Models), Config);
 
   // Either observability output arms the recorder, which also switches
@@ -612,7 +307,6 @@ int main(int Argc, char **Argv) {
   if (!MetricsOut.empty() || !TraceOut.empty())
     SpanRecorder::instance().arm();
 
-  const std::string TracePath = Cmd.flag("trace");
   const std::string ListenSpec = Cmd.flag("listen");
   int ExitCode = 0;
   uint64_t Errors = 0;
@@ -621,7 +315,7 @@ int main(int Argc, char **Argv) {
       fatal("--listen and --trace are mutually exclusive");
     ExitCode = runListen(Service, ListenSpec, Cmd.flag("port-file"));
   } else if (TracePath.empty()) {
-    ExitCode = runStdin(Service);
+    runInteractive(Service);
     // EOF/quit ends the session, but work admitted through the async
     // queue may still be in flight; finish it before the exit-time
     // metrics snapshot below (and before the service is destroyed) so
@@ -631,14 +325,8 @@ int main(int Argc, char **Argv) {
     const auto Script = readTraceFile(TracePath);
     if (!Script)
       fatal(Script.status());
-    const int64_t ClientsArg = Cmd.intFlag("clients", 1);
-    const int64_t RepeatArg = Cmd.intFlag("repeat", 1);
-    if (ClientsArg < 1 || ClientsArg > 4096 || RepeatArg < 1 ||
-        RepeatArg > 1000000)
-      fatal("--clients must be in [1, 4096] and --repeat in [1, 1000000]");
-    const unsigned Clients = static_cast<unsigned>(ClientsArg);
-    const unsigned Repeat = static_cast<unsigned>(RepeatArg);
-    Errors = runTrace(Service, *Script, Clients, Repeat);
+    Errors = runTrace(Service, *Script, static_cast<unsigned>(ClientsArg),
+                      static_cast<unsigned>(RepeatArg));
   }
 
   if (!MetricsOut.empty())
