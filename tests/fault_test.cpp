@@ -615,6 +615,91 @@ TEST(FaultSiteTest, BatchExecuteFaultFollowsBatchErrorRules) {
   EXPECT_FALSE(Clean->Degraded);
 }
 
+TEST(FaultSiteTest, StageFaultsTreatASingleExecuteAsABatchOfOne) {
+  // A batch is the single-request plan run over N operands, so at every
+  // stage fault site a single execute and a 1-operand batch over the
+  // same operand must fail the same way: the same typed error for a
+  // retryable code, the same degraded baseline answer for a terminal
+  // one, and the same counter deltas. Retry is off so the service hands
+  // back the server's first answer on both paths.
+  DisarmGuard Guard;
+  const CsrMatrix M = genPowerLaw(2048, 2048, 1.8, 1, 256, 11);
+  const std::vector<double> X = buildBatchOperands(1, M.numCols())[0];
+  ServiceConfig Config;
+  Config.Retry.MaxAttempts = 1;
+
+  struct Outcome {
+    Status Error = Status::okStatus();
+    bool Degraded = false;
+    size_t Kernel = 0;
+    std::vector<double> Y;
+    uint64_t Requests = 0, DegradedServes = 0, BreakerOpens = 0;
+  };
+  // Serves X on a fresh service (so the kernel.prepare site is reached)
+  // with \p Rule armed, as one execute or as a batch of one.
+  const auto serveOnce = [&](const std::string &Rule, bool AsBatch) {
+    SeerService Service(tinyModels(), Config);
+    const MatrixHandle Handle = mustRegister(Service, M);
+    const ServerStats Before = Service.stats();
+    armPlan(Rule + "\n");
+    Outcome O;
+    if (AsBatch) {
+      const auto B = Service.executeBatch(Handle, {X}, 5);
+      if (!B) {
+        O.Error = B.status();
+      } else {
+        O.Degraded = B->Degraded;
+        O.Kernel = B->Selection.KernelIndex;
+        O.Y = B->Y.at(0);
+      }
+    } else {
+      Request R;
+      R.Handle = Handle;
+      R.Iterations = 5;
+      R.Execute = true;
+      R.Operand = X;
+      const auto S = Service.serve(R);
+      if (!S) {
+        O.Error = S.status();
+      } else {
+        O.Degraded = S->Degraded;
+        O.Kernel = S->Selection.KernelIndex;
+        O.Y = S->Y;
+      }
+    }
+    FaultInjector::instance().disarm();
+    const ServerStats After = Service.stats();
+    O.Requests = After.Requests - Before.Requests;
+    O.DegradedServes = After.DegradedServes - Before.DegradedServes;
+    O.BreakerOpens = After.BreakerOpens - Before.BreakerOpens;
+    return O;
+  };
+
+  for (const char *Site : {"plan.select", "kernel.prepare", "plan.run"})
+    for (const char *Code : {"INTERNAL", "UNAVAILABLE"}) {
+      const std::string Rule =
+          std::string(Site) + " nth=1 status=" + Code + " stage down";
+      const Outcome Single = serveOnce(Rule, /*AsBatch=*/false);
+      const Outcome Batch = serveOnce(Rule, /*AsBatch=*/true);
+      EXPECT_EQ(Single.Error.code(), Batch.Error.code()) << Rule;
+      EXPECT_EQ(Single.Error.message(), Batch.Error.message()) << Rule;
+      EXPECT_EQ(Single.Degraded, Batch.Degraded) << Rule;
+      EXPECT_EQ(Single.Kernel, Batch.Kernel) << Rule;
+      EXPECT_EQ(Single.Y, Batch.Y) << Rule;
+      EXPECT_EQ(Single.Requests, Batch.Requests) << Rule;
+      EXPECT_EQ(Single.DegradedServes, Batch.DegradedServes) << Rule;
+      EXPECT_EQ(Single.BreakerOpens, Batch.BreakerOpens) << Rule;
+      // The rule decides which way both went: a terminal code degrades,
+      // a retryable one surfaces typed.
+      if (std::string(Code) == "INTERNAL") {
+        EXPECT_TRUE(Single.Error.ok()) << Rule;
+        EXPECT_TRUE(Single.Degraded) << Rule;
+      } else {
+        EXPECT_EQ(Single.Error.code(), StatusCode::Unavailable) << Rule;
+      }
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // Atomic persistence (satellite: temp-file + rename stores)
 //===----------------------------------------------------------------------===//

@@ -18,12 +18,15 @@
 #include "core/Seer.h"
 #include "serve/RequestTrace.h"
 #include "serve/SeerServer.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
 #include <thread>
 
 using namespace seer;
@@ -1228,6 +1231,90 @@ TEST(RequestTraceTest, GenArgumentsAreRangeChecked) {
   ASSERT_TRUE(parseTraceLine("gen a banded 64 0 0.9 7", Command).ok());
   const auto Built = buildTraceMatrix(Command);
   EXPECT_TRUE(Built) << Built.status().toString();
+}
+
+TEST(RequestTraceTest, ReplayMatchesTheGoldenTranscript) {
+  // A fixed v2 script replayed through the text front end over a local
+  // Session: selects, verified executes, batches, close/reopen, and the
+  // three stage fault sites armed before both a single execute and a
+  // batch. Response lines carry modeled costs only, so the transcript is
+  // deterministic; tests/golden/serve_transcript.txt pins it byte for
+  // byte. On a mismatch the test writes this run's transcript to the temp
+  // directory; copy it over the golden file only when a reply is meant to
+  // change.
+  struct DisarmGuard {
+    ~DisarmGuard() { FaultInjector::instance().disarm(); }
+  } Guard;
+  const std::string Trace =
+      "seer-trace v2\n"
+      "gen web powerlaw 2048 1.8 1 256 11\n"
+      "gen road banded 4096 4 0.95 7\n"
+      "gen grid uniform 512 512 12 0.5 13\n"
+      "gen prep1 banded 1024 8 0.9 21\n"
+      "gen prep2 banded 1024 8 0.9 22\n"
+      "select web 5\n"
+      "select road 19\n"
+      "select web 5\n"
+      "execute web 5\n"
+      "execute road 19 verify\n"
+      "execute web 5 verify\n"
+      "batch web 8 5\n"
+      "batch road 4 19\n"
+      "close web\n"
+      "select web 5\n"   // closed
+      "close web\n"      // already released
+      "open web\n"
+      "select web 5\n"
+      "execute web 5\n"  // the ledger survived the reopen: amortized
+      "batch web 3 19\n"
+      "fault plan.select nth=1 status=INTERNAL selector down\n"
+      "execute road 5\n" // degraded
+      "fault clear\n"    // (a clear restarts the site's hit count)
+      "fault plan.select nth=1 status=INTERNAL selector down\n"
+      "batch road 2 5\n" // degraded
+      "fault clear\n"
+      "fault kernel.prepare nth=1 status=INTERNAL prepare down\n"
+      "execute prep1 5\n" // degraded: prep1's plan was never prepared
+      "fault clear\n"
+      "fault kernel.prepare nth=1 status=INTERNAL prepare down\n"
+      "batch prep2 4 5\n" // degraded: neither was prep2's
+      "fault clear\n"
+      "fault plan.run nth=1 status=INTERNAL run down\n"
+      "execute grid 19\n" // degraded
+      "fault clear\n"
+      "fault plan.run nth=1 status=INTERNAL run down\n"
+      "batch grid 4 19\n" // degraded
+      "fault clear\n"
+      "execute prep1 5\n"
+      "batch prep2 2 5\n"
+      "execute grid 19 verify\n"
+      "batch road 2 5\n";
+  const auto Script = parseTrace(Trace);
+  ASSERT_TRUE(Script) << Script.status().toString();
+
+  SeerService Service(tinyModels());
+  Session Local(Service);
+  SpanSink Spans;
+  std::ostringstream Out;
+  TextFrontEnd FrontEnd(
+      [&](SessionOp Op) { return Local.apply(std::move(Op)); },
+      Service.registry(), Spans, TextFrontEnd::Mode::Replay, &Out);
+  replayTrace(*Script, 1, FrontEnd);
+
+  const std::string GoldenPath =
+      std::string(SEER_SOURCE_DIR) + "/tests/golden/serve_transcript.txt";
+  std::ifstream In(GoldenPath);
+  ASSERT_TRUE(In) << "cannot open " << GoldenPath;
+  const std::string Golden((std::istreambuf_iterator<char>(In)),
+                           std::istreambuf_iterator<char>());
+  if (Out.str() != Golden) {
+    const auto Actual =
+        std::filesystem::temp_directory_path() / "serve_transcript.actual";
+    std::ofstream(Actual) << Out.str();
+    ADD_FAILURE() << "replay differs from " << GoldenPath
+                  << "; this run's transcript is in " << Actual.string();
+  }
+  EXPECT_EQ(Out.str(), Golden);
 }
 
 //===----------------------------------------------------------------------===//
