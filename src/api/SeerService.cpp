@@ -16,6 +16,11 @@
 
 using namespace seer;
 
+Status seer::unknownHandle(uint64_t Id) {
+  return Status::notFound("unknown or already released matrix handle " +
+                          std::to_string(Id));
+}
+
 SeerService::SeerService(SeerModels Models, ServiceConfig Config)
     : Server(std::move(Models), Config.Server),
       AsyncCapacity(Config.AsyncQueueCapacity), Retry(Config.Retry) {}
@@ -101,8 +106,7 @@ Status SeerService::release(MatrixHandle Handle) {
     MutexLock Lock(HandlesMutex);
     const auto It = Handles.find(Handle.Id);
     if (It == Handles.end())
-      return Status::notFound("unknown or already released matrix handle " +
-                              std::to_string(Handle.Id));
+      return unknownHandle(Handle.Id);
     // Move the registration out so its destructor (and the cache unpin)
     // runs outside the session lock — possibly later, if async requests
     // still share it.
@@ -113,7 +117,7 @@ Status SeerService::release(MatrixHandle Handle) {
 }
 
 Expected<std::shared_ptr<SeerService::Registration>>
-SeerService::resolve(MatrixHandle Handle, const Request &R) const {
+SeerService::resolve(MatrixHandle Handle, const ServeOptions &Options) const {
   if (!Handle.valid())
     return Status::invalidArgument("null matrix handle");
   std::shared_ptr<Registration> Reg;
@@ -121,18 +125,26 @@ SeerService::resolve(MatrixHandle Handle, const Request &R) const {
     MutexLock Lock(HandlesMutex);
     const auto It = Handles.find(Handle.Id);
     if (It == Handles.end())
-      return Status::notFound("unknown or released matrix handle " +
-                              std::to_string(Handle.Id));
+      return unknownHandle(Handle.Id);
     Reg = It->second;
   }
-  if (R.Iterations == 0)
+  if (Options.Iterations == 0)
     return Status::invalidArgument("iteration count must be >= 1");
-  if (!R.Operand.empty() &&
-      R.Operand.size() != Reg->R.Matrix->numCols())
+  const uint32_t Cols = Reg->R.Matrix->numCols();
+  if (Options.Operand && Options.Operand->size() != Cols)
     return Status::invalidArgument(
-        "operand has " + std::to_string(R.Operand.size()) +
-        " elements, matrix has " + std::to_string(Reg->R.Matrix->numCols()) +
-        " columns");
+        "operand has " + std::to_string(Options.Operand->size()) +
+        " elements, matrix has " + std::to_string(Cols) + " columns");
+  if (Options.Operands) {
+    if (Options.Operands->empty())
+      return Status::invalidArgument("empty batch (no operands)");
+    for (size_t I = 0; I < Options.Operands->size(); ++I)
+      if ((*Options.Operands)[I].size() != Cols)
+        return Status::invalidArgument(
+            "batch operand " + std::to_string(I) + " has " +
+            std::to_string((*Options.Operands)[I].size()) +
+            " elements, matrix has " + std::to_string(Cols) + " columns");
+  }
   return Reg;
 }
 
@@ -165,21 +177,21 @@ SeerService::serveWithRetry(const RegisteredMatrix &Registered,
 }
 
 Expected<ServeResponse> SeerService::serve(const Request &R) {
-  auto Reg = resolve(R.Handle, R);
+  const ServeOptions Options = optionsFor(R, deadlineFor(R.DeadlineMs));
+  auto Reg = resolve(R.Handle, Options);
   if (!Reg)
     return Reg.status();
-  return serveWithRetry((*Reg)->R, optionsFor(R, deadlineFor(R.DeadlineMs)));
+  return serveWithRetry((*Reg)->R, Options);
 }
 
 Expected<ServeResponse> SeerService::serveAdmitted(const Request &R) {
-  auto Reg = resolve(R.Handle, R);
+  const ServeOptions Options = optionsFor(R, deadlineFor(R.DeadlineMs));
+  auto Reg = resolve(R.Handle, Options);
   if (!Reg)
     return Reg.status();
-  const auto Deadline = deadlineFor(R.DeadlineMs);
-  if (Status Admission = admit(Deadline); !Admission.ok())
+  if (Status Admission = admit(Options.Deadline); !Admission.ok())
     return Admission;
-  Expected<ServeResponse> Result =
-      serveWithRetry((*Reg)->R, optionsFor(R, Deadline));
+  Expected<ServeResponse> Result = serveWithRetry((*Reg)->R, Options);
   Reg->reset(); // return the pin before signaling idle
   finishAdmitted();
   return Result;
@@ -208,23 +220,20 @@ Expected<BatchResponse>
 SeerService::executeBatch(MatrixHandle Handle,
                           const std::vector<std::vector<double>> &Operands,
                           uint32_t Iterations, double DeadlineMs) {
-  Request Probe;
-  Probe.Handle = Handle;
-  Probe.Iterations = Iterations;
-  auto Reg = resolve(Handle, Probe);
+  ServeOptions Options;
+  Options.Iterations = Iterations;
+  Options.Operands = &Operands;
+  Options.Deadline = deadlineFor(DeadlineMs);
+  auto Reg = resolve(Handle, Options);
   if (!Reg)
     return Reg.status();
-  if (Operands.empty())
-    return Status::invalidArgument("empty batch (no operands)");
-  const uint32_t Cols = (*Reg)->R.Matrix->numCols();
-  for (size_t I = 0; I < Operands.size(); ++I)
-    if (Operands[I].size() != Cols)
-      return Status::invalidArgument(
-          "batch operand " + std::to_string(I) + " has " +
-          std::to_string(Operands[I].size()) + " elements, matrix has " +
-          std::to_string(Cols) + " columns");
-  return Server.executeBatchRegistered((*Reg)->R, Iterations, Operands,
-                                       deadlineFor(DeadlineMs));
+  if (Status Admission = admit(Options.Deadline); !Admission.ok())
+    return Admission;
+  Expected<BatchResponse> Result =
+      Server.executeBatchRegistered((*Reg)->R, Options);
+  Reg->reset(); // return the pin before signaling idle
+  finishAdmitted();
+  return Result;
 }
 
 Status SeerService::tryAdmit() {
@@ -275,13 +284,12 @@ void SeerService::finishAdmitted() {
 }
 
 Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
-  auto Reg = resolve(R.Handle, R);
-  if (!Reg)
-    return Reg.status();
-
   // The deadline clock starts at submission: time spent fighting for
   // admission and waiting in the queue is time the caller is waiting.
   const auto Deadline = deadlineFor(R.DeadlineMs);
+  auto Reg = resolve(R.Handle, optionsFor(R, Deadline));
+  if (!Reg)
+    return Reg.status();
   if (Status Admission = admit(Deadline); !Admission.ok())
     return Admission;
 
@@ -323,8 +331,7 @@ void SeerService::drain() {
 }
 
 Expected<HandleInfo> SeerService::describe(MatrixHandle Handle) const {
-  Request Empty;
-  auto Reg = resolve(Handle, Empty);
+  auto Reg = resolve(Handle, ServeOptions());
   if (!Reg)
     return Reg.status();
   const RegisteredMatrix &R = (*Reg)->R;

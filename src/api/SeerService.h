@@ -23,7 +23,8 @@
 ///      process-wide ThreadPool; a full queue rejects the submission
 ///      with RESOURCE_EXHAUSTED (backpressure), never blocks.
 ///      `serveAdmitted(Request)` is the synchronous request under that
-///      same admission control — the wire server's entry point.
+///      same admission control — the session layer's entry point — and
+///      `executeBatch()` runs one plan over N operands under it too.
 ///   3. `release(MatrixHandle)` — ends the handle's lifetime. Requests
 ///      already admitted keep their registration alive (shared
 ///      ownership), so release() is always safe to call; *new* requests
@@ -65,6 +66,11 @@ struct MatrixHandle {
   bool valid() const { return Id != 0; }
 };
 
+/// The NOT_FOUND every serving layer (the service, the text front end,
+/// the shard balancer) answers for handle \p Id when it was never issued
+/// or is already released.
+Status unknownHandle(uint64_t Id);
+
 /// Deterministic bounded retry for transient failures. Applied by the
 /// serve()/submit() wrappers to *retryable* Status codes only
 /// (Status::isRetryable(): RESOURCE_EXHAUSTED, UNAVAILABLE) — terminal
@@ -92,9 +98,9 @@ struct ServiceConfig {
   /// The wrapped server's configuration (device, cache shards, budget,
   /// circuit breakers).
   ServerConfig Server;
-  /// Maximum admitted requests in flight (submit() and serveAdmitted()
-  /// together, admitted but not yet finished) before admission applies
-  /// backpressure with RESOURCE_EXHAUSTED.
+  /// Maximum admitted requests in flight (submit(), serveAdmitted() and
+  /// executeBatch() together, admitted but not yet finished) before
+  /// admission applies backpressure with RESOURCE_EXHAUSTED.
   size_t AsyncQueueCapacity = 256;
   /// Retry policy for transient failures (see RetryPolicy).
   RetryPolicy Retry;
@@ -186,9 +192,13 @@ public:
   /// handle). Per operand, the result is bit-identical to issuing the
   /// same execution through serve(); the batch just skips the
   /// per-request selection, ledger and telemetry costs N-1 times.
-  /// \p DeadlineMs (0 = none) bounds the whole batch, checked between
-  /// operands too; batches are not retried (re-running N operands on a
-  /// transient blip is the caller's call, not the service's).
+  /// Runs on the calling thread under serveAdmitted()'s admission
+  /// control (RESOURCE_EXHAUSTED once admission retries are spent; one
+  /// in-flight slot held until it returns, so drain() waits for it).
+  /// \p DeadlineMs (0 = none) bounds the whole batch, checked before
+  /// each operand too; the batch itself is not retried (re-running N
+  /// operands on a transient blip is the caller's call, not the
+  /// service's).
   Expected<BatchResponse>
   executeBatch(MatrixHandle Handle,
                const std::vector<std::vector<double>> &Operands,
@@ -215,8 +225,8 @@ public:
   /// serves its own frames.
   Expected<ServeResponse> serveAdmitted(const Request &R);
 
-  /// Blocks until every admitted request (submit() or serveAdmitted())
-  /// has completed.
+  /// Blocks until every admitted request (submit(), serveAdmitted() or
+  /// executeBatch()) has completed.
   void drain();
 
   /// Facts about a live handle (NOT_FOUND after release).
@@ -265,9 +275,12 @@ private:
   };
 
   /// Looks up \p Handle (NOT_FOUND when absent) and validates the
-  /// request knobs against it (INVALID_ARGUMENT).
-  Expected<std::shared_ptr<Registration>> resolve(MatrixHandle Handle,
-                                                  const Request &R) const;
+  /// request against it (INVALID_ARGUMENT): the iteration count, the
+  /// execute operand's length, and a batch's operands — non-empty, each
+  /// as long as the matrix has columns. One validator for both request
+  /// shapes.
+  Expected<std::shared_ptr<Registration>>
+  resolve(MatrixHandle Handle, const ServeOptions &Options) const;
 
   /// One server call under the RetryPolicy: re-issues \p Options against
   /// \p Registered on retryable failure, with deterministic exponential
@@ -280,11 +293,11 @@ private:
   /// bounded in-flight check. On OK the in-flight slot is held.
   Status tryAdmit();
 
-  /// Admission shared by submit() and serveAdmitted(): tryAdmit() under
-  /// the RetryPolicy (deterministic backoff, stopping at \p Deadline),
-  /// moving the AsyncAccepted/AsyncRejected and Retries/RetriesExhausted
-  /// counters. On OK the caller holds one in-flight slot and must return
-  /// it with finishAdmitted().
+  /// Admission shared by submit(), serveAdmitted() and executeBatch():
+  /// tryAdmit() under the RetryPolicy (deterministic backoff, stopping at
+  /// \p Deadline), moving the AsyncAccepted/AsyncRejected and
+  /// Retries/RetriesExhausted counters. On OK the caller holds one
+  /// in-flight slot and must return it with finishAdmitted().
   Status admit(std::chrono::steady_clock::time_point Deadline);
 
   /// Returns an in-flight slot, waking drain() on the last one.

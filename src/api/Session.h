@@ -10,8 +10,10 @@
 /// one dispatcher from ops to SeerService calls; the front ends are codecs
 /// around it — net/Wire.h decodes frames into ops and encodes replies,
 /// serve/RequestTrace.h's `TextFrontEnd` does the same for text lines.
-/// Select and execute go through `SeerService::serveAdmitted()`, so every
-/// front end is under the same bounded admission.
+/// Select and execute go through `SeerService::serveAdmitted()` and a
+/// batch through `SeerService::executeBatch()`, both under the service's
+/// bounded admission (in-flight cap, the queue.admit fault site, drain()),
+/// so every front end's every request is admitted the same way.
 ///
 /// A Session is one client's ordered op stream (not thread-safe; any
 /// number of Sessions may share a service). It owns the handles it opened

@@ -186,8 +186,7 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
     }
     auto It = Sess->Map.find(*HandleOr);
     if (It == Sess->Map.end())
-      return encodeStatusReply(Status::notFound(
-          "unknown handle " + std::to_string(*HandleOr)));
+      return encodeStatusReply(unknownHandle(*HandleOr));
     // The hot path: rewrite the handle at its fixed offset and forward
     // the frame bytes untouched — no operand decode, no re-encode.
     std::string Forward = Payload;

@@ -585,8 +585,7 @@ void TextFrontEnd::run(const TraceCommand &Command, const MatrixInput *Source) {
     return;
   case Kind::Close:
     if (Op.Handle == 0) // the service's answer to releasing handle 0
-      return fail(
-          Status::notFound("unknown or already released matrix handle 0"));
+      return fail(unknownHandle(0));
     Op.Type = SessionOp::Kind::Close;
     Named->Handle = 0;
     break;

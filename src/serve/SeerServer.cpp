@@ -98,15 +98,6 @@ void SeerServer::releaseMatrix(const RegisteredMatrix &Registered) {
   Releases.add();
 }
 
-Expected<ServeResponse>
-SeerServer::handleRegistered(const RegisteredMatrix &Registered,
-                             const ServeOptions &Options) {
-  assert(Registered.valid() && "request against an empty registration");
-  return serveEntry(*Registered.Matrix, Registered.Fingerprint,
-                    Registered.Entry, Options,
-                    std::chrono::steady_clock::now());
-}
-
 bool SeerServer::preparePlan(
     ExecutionPlan &Plan, const AnalyzedMatrix &A,
     const std::shared_ptr<FingerprintCache::Entry> &Entry) {
@@ -177,63 +168,119 @@ Status SeerServer::finishError(Status Error,
 }
 
 Expected<ServeResponse>
-SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
-                       const std::shared_ptr<FingerprintCache::Entry> &Entry,
-                       const ServeOptions &Request,
-                       std::chrono::steady_clock::time_point Start) {
+SeerServer::handleRegistered(const RegisteredMatrix &Registered,
+                             const ServeOptions &Options) {
+  assert(!Options.Operands && "a batch is served by executeBatchRegistered");
+  ServeResponse R;
+  if (Status S = serveStages(Registered, Options, R, &R.Y); !S.ok())
+    return S;
+  return R;
+}
+
+Expected<BatchResponse>
+SeerServer::executeBatchRegistered(const RegisteredMatrix &Registered,
+                                   const ServeOptions &Options) {
+  assert(Options.Operands && !Options.Operands->empty() && "empty batch");
+  BatchResponse B;
+  B.Y.resize(Options.Operands->size());
+  ServeResponse R;
+  if (Status S = serveStages(Registered, Options, R, B.Y.data()); !S.ok())
+    return S;
+  B.Selection = R.Selection;
+  B.ModeledCollectionMs = R.ModeledCollectionMs;
+  B.Fingerprint = R.Fingerprint;
+  B.CacheHit = R.CacheHit;
+  B.Iterations = R.Iterations;
+  B.PreprocessAmortized = R.PreprocessAmortized;
+  B.PreprocessMs = R.PreprocessMs;
+  B.ModeledPreprocessMs = R.ModeledPreprocessMs;
+  B.IterationMs = R.IterationMs;
+  B.ServiceMicros = R.ServiceMicros;
+  B.Degraded = R.Degraded;
+  return B;
+}
+
+Status SeerServer::serveStages(const RegisteredMatrix &Registered,
+                               const ServeOptions &Options, ServeResponse &R,
+                               std::vector<double> *Y) {
+  assert(Registered.valid() && "request against an empty registration");
+  const auto Start = std::chrono::steady_clock::now();
+  const CsrMatrix &M = *Registered.Matrix;
+  const std::shared_ptr<FingerprintCache::Entry> &Entry = Registered.Entry;
   const Planner &Pipeline = Runtime.planner();
-  const AnalyzedMatrix A = Planner::adopt(M, Entry->Stats, Fingerprint);
+  const AnalyzedMatrix A =
+      Planner::adopt(M, Entry->Stats, Registered.Fingerprint);
   FaultInjector &Faults = FaultInjector::instance();
 
-  // Per-entry reset of this thread's plan-scratch arena: every stage
-  // below draws its feature scratch from it, so on the repeat stream the
-  // whole select->execute path allocates nothing (flat_tree_test holds
-  // this with the operator-new counter).
+  // The request's operands: a batch's list, one for an execute (all ones
+  // unless given), none for a select.
+  const bool Batch = Options.Operands != nullptr;
+  const size_t N = Batch ? Options.Operands->size() : Options.Execute ? 1 : 0;
+  const std::vector<double> Ones(
+      Options.Execute && !Options.Operand && !Batch ? M.numCols() : 0, 1.0);
+  const std::vector<double> *X = Batch ? Options.Operands->data()
+                                 : Options.Operand ? Options.Operand
+                                                   : &Ones;
+
+  // Per-request reset of this thread's plan-scratch arena, which every
+  // stage draws its feature scratch from: on the repeat stream the whole
+  // path allocates nothing (held by flat_tree_test's operator-new count).
   Planner::scratchArena().reset();
 
-  // Observability: when the SpanRecorder is armed, mint a request id
-  // (inherited by every nested span, including the Planner-internal
-  // ones) and time each stage into its histogram. Disarmed, all of this
-  // is one relaxed load plus two thread-local stores.
+  // Observability: armed, mint a request id every nested span inherits
+  // and time each stage into its histogram; disarmed, all of this is one
+  // relaxed load plus two thread-local stores.
   const bool Obs = SpanRecorder::instance().armed();
   const uint64_t RequestId =
       Obs ? NextRequestId.fetch_add(1, std::memory_order_relaxed) + 1 : 0;
   ScopedRequestId IdScope(RequestId);
-  ScopedSpan RequestSpan(spanname::Serve, RequestId);
+  ScopedSpan RequestSpan(Batch ? spanname::ServeBatch : spanname::Serve,
+                         RequestId);
+  if (Batch)
+    RequestSpan.tag("operands", static_cast<double>(N));
 
-  // Deadline checkpoint 1 — admission: queue wait (async submission) and
-  // dequeue happen before this point, so an expired request is rejected
-  // before any pipeline work runs on its behalf.
-  if (deadlineExpired(Request.Deadline))
+  // Deadline checkpoint before selection: queue wait and admission count
+  // against the deadline, and no pipeline work runs for an expired one.
+  if (deadlineExpired(Options.Deadline))
     return finishError(
         Status::deadlineExceeded("deadline expired before selection"), Start);
 
-  ServeResponse R;
-  R.Iterations = Request.Iterations ? Request.Iterations : 1;
-  R.Fingerprint = Fingerprint;
-  // Registration paid the analysis, so every request is a cache hit.
-  R.CacheHit = true;
+  R.Iterations = Options.Iterations ? Options.Iterations : 1;
+  R.Fingerprint = Registered.Fingerprint;
+  R.CacheHit = true; // registration paid the analysis
+
+  // Every stage below follows one rule: a retryable failure propagates
+  // typed (the session layer's RetryPolicy may re-issue); a terminal
+  // failure, an injected bad_alloc or an open breaker degrades the whole
+  // request to the baseline kernel. Only a batch has a fault site of its
+  // own, ahead of selection.
+  bool Degraded = false;
+  if (Batch) {
+    try {
+      if (Status F = Faults.check(faultsite::BatchExecute); !F.ok()) {
+        if (F.isRetryable())
+          return finishError(std::move(F), Start);
+        Degraded = true;
+      }
+    } catch (const std::bad_alloc &) {
+      Degraded = true;
+    }
+  }
 
   // Stage: route + collect + select. The features come from the entry
-  // registration analyzed, so collection is never charged and the chosen
-  // kernel is bit-identical to the one-shot path. A retryable failure
-  // propagates typed (the session layer's RetryPolicy re-issues); a
-  // terminal failure or an open breaker degrades to the baseline kernel.
-  bool Degraded = false;
+  // registration analyzed, so collection is never charged and the kernel
+  // is bit-identical to the one-shot path. The plan is constructed in
+  // place from the lambda (guaranteed elision), not move-assigned: the
+  // select stage is on the sub-microsecond select-micro bench budget.
   Status SelectFailure = Status::okStatus();
-  // Direct-initialized from the lambda so the hot path constructs the
-  // plan in place (guaranteed elision) instead of default-constructing
-  // and move-assigning — the select stage is on the sub-microsecond
-  // budget the select-micro bench gate holds.
   ExecutionPlan Plan = [&]() -> ExecutionPlan {
-    if (!SelectBreaker.allow()) {
+    if (Degraded || !SelectBreaker.allow()) {
       Degraded = true;
       return {};
     }
     const StageClock Select(Obs);
     try {
-      if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
-        throw InjectedFaultError(std::move(F));
+      Faults.checkOrThrow(faultsite::PlanSelect);
       ExecutionPlan P =
           Pipeline.plan(A, R.Iterations, CollectionCharging::Precollected);
       SelectBreaker.recordSuccess();
@@ -256,36 +303,38 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   if (!SelectFailure.ok())
     return finishError(std::move(SelectFailure), Start);
 
-  if (!Degraded) {
-    R.Selection = Plan.Selection;
-    R.ModeledCollectionMs = Plan.ModeledCollectionMs;
-    if (Plan.Selection.UsedGatheredModel) {
-      // Telemetry: the modeled collection cost this hit skipped (the
-      // plan's collect stage evaluated only the cost formula — no matrix
-      // walk happens on the precollected path).
-      SavedCollectionNs.add(msToNanos(Plan.ModeledCollectionMs));
-    }
-  }
+  // Telemetry: the modeled collection cost this request skipped (the
+  // precollected collect stage evaluates only the cost formula).
+  if (!Degraded && Plan.Selection.UsedGatheredModel)
+    SavedCollectionNs.add(msToNanos(Plan.ModeledCollectionMs));
 
-  // Deadline checkpoint 2 — between the selection and execution stages:
-  // expired work stops here instead of paying for preparation and runs.
-  if (deadlineExpired(Request.Deadline))
+  // Deadline checkpoint after selection: expired work stops here instead
+  // of paying for preparation and runs.
+  if (deadlineExpired(Options.Deadline))
     return finishError(
         Status::deadlineExceeded("deadline expired after selection"), Start);
 
-  // The operand is shared by the planned and the degraded execution path.
-  const std::vector<double> Ones =
-      (Request.Execute && !Request.Operand)
-          ? std::vector<double>(M.numCols(), 1.0)
-          : std::vector<double>();
-  const std::vector<double> &X = Request.Operand ? *Request.Operand : Ones;
+  // The operand loop of the planned and the degraded run, with the
+  // per-operand deadline checkpoint: an expired request stops before its
+  // next operand and discards what it ran (no prefix answers).
+  const auto RunOperands = [&](const auto &RunOne) -> Status {
+    for (size_t K = 0; K < N; ++K) {
+      if (deadlineExpired(Options.Deadline))
+        return Status::deadlineExceeded(
+            "deadline expired after " + std::to_string(K) + " of " +
+            std::to_string(N) + " operands");
+      assert(X[K].size() == M.numCols() && "operand length mismatch");
+      SpmvRun Run = RunOne(X[K]);
+      R.IterationMs = Run.Timing.TotalMs;
+      Y[K] = std::move(Run.Y);
+    }
+    return Status::okStatus();
+  };
 
+  // Stage: prepare, once per request (the kernel.prepare fault site lives
+  // inside Planner::prepare and surfaces here as InjectedFaultError).
   bool PlanReused = false;
-  if (!Degraded && Request.Execute) {
-    assert(X.size() == M.numCols() && "operand length mismatch");
-
-    // Stage: prepare (the kernel.prepare fault site lives inside
-    // Planner::prepare and surfaces here as InjectedFaultError).
+  if (!Degraded && N > 0) {
     if (!PrepareBreaker.allow()) {
       Degraded = true;
     } else {
@@ -301,6 +350,8 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
                         ? &CostErrorPrepare
                         : nullptr,
                     Plan.ModeledPreprocessMs);
+        if (Plan.PreprocessAmortized)
+          SavedPreprocessNs.add(msToNanos(Plan.ModeledPreprocessMs));
       } catch (const InjectedFaultError &E) {
         PrepareBreaker.recordFailure();
         if (E.status().isRetryable())
@@ -311,147 +362,80 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
         Degraded = true;
       }
     }
+  }
 
-    if (!Degraded) {
-      R.PreprocessAmortized = Plan.PreprocessAmortized;
-      R.PreprocessMs = Plan.PreprocessMs;
-      R.ModeledPreprocessMs = Plan.ModeledPreprocessMs;
-      if (Plan.PreprocessAmortized)
-        SavedPreprocessNs.add(msToNanos(Plan.ModeledPreprocessMs));
-
-      // Stage: run.
-      if (!RunBreaker.allow()) {
-        Degraded = true;
-      } else {
-        const StageClock RunClock(Obs);
-        try {
-          SpmvRun Run = Pipeline.run(Plan, A, X);
-          R.IterationMs = Run.Timing.TotalMs;
-          R.Y = std::move(Run.Y);
-          RunBreaker.recordSuccess();
-          recordStage(RunClock, StageRunUs, &CostErrorRun, R.IterationMs);
-        } catch (const InjectedFaultError &E) {
-          RunBreaker.recordFailure();
-          if (E.status().isRetryable())
-            return finishError(E.status(), Start);
-          Degraded = true;
-        } catch (const std::bad_alloc &) {
-          RunBreaker.recordFailure();
-          Degraded = true;
-        }
-      }
-    }
-
-    if (!Degraded && Request.VerifyOracle) {
-      // Online feedback: compare against the noise-free oracle, computed
-      // once per fingerprint and cached. Best-effort under injection: a
-      // fault here (the serve.oracle site, or kernel.prepare/plan.run
-      // firing inside the probe sweep) skips verification and serves the
-      // response unverified rather than failing or degrading it.
-      const StageClock Oracle(Obs);
-      ScopedSpan OracleSpan(spanname::ServeOracle);
+  // Stage: run, every operand against the one prepared plan.
+  if (!Degraded && N > 0) {
+    if (!RunBreaker.allow()) {
+      Degraded = true;
+    } else {
+      const StageClock RunClock(Obs);
       try {
-        if (Status F = Faults.check(faultsite::ServeOracle); !F.ok())
-          throw InjectedFaultError(std::move(F));
-        std::vector<KernelMeasurement> Oracle;
-        {
-          MutexLock Lock(Entry->Mutex);
-          Oracle = Entry->Oracle;
-        }
-        if (Oracle.empty()) {
-          // The oracle sweep is the planner's per-kernel plan path, one
-          // prepared plan per registry kernel.
-          Oracle.resize(Registry.size());
-          std::vector<ExecutionPlan> Probes;
-          Probes.reserve(Registry.size());
-          for (size_t K = 0; K < Registry.size(); ++K) {
-            Probes.push_back(Pipeline.planForKernel(A, K));
-            const SpmvRun Probe = Pipeline.run(Probes[K], A, X);
-            Oracle[K].PreprocessMs = Probes[K].ModeledPreprocessMs;
-            Oracle[K].IterationMs = Probe.Timing.TotalMs;
-          }
-          bool Grew = false;
-          {
-            MutexLock Lock(Entry->Mutex);
-            if (Entry->Oracle.empty()) {
-              Entry->Oracle = Oracle;
-              Grew = true;
-            }
-            // Stash the sweep's by-product plans into empty ledger slots,
-            // unpaid: a later execution of that kernel reuses the state
-            // but still gets charged its one-time cost, and the
-            // byte-budgeted cache sheds these first under pressure.
-            for (size_t K = 0; K < Probes.size(); ++K) {
-              FingerprintCache::KernelSlot &Slot = Entry->Kernels[K];
-              if (!Slot.State && !Slot.Paid && Probes[K].State) {
-                Slot.State = std::move(Probes[K].State);
-                Slot.PreprocessMs = Probes[K].ModeledPreprocessMs;
-                Slot.Thunk = Probes[K].Thunk;
-                Grew = true;
-              }
-            }
-          }
-          if (Grew)
-            Cache.noteMutation(Entry);
-        }
-        size_t Best = 0;
-        for (size_t K = 1; K < Oracle.size(); ++K)
-          if (Oracle[K].totalMs(R.Iterations) <
-              Oracle[Best].totalMs(R.Iterations))
-            Best = K;
-        R.OracleChecked = true;
-        R.OracleKernelIndex = Best;
-        R.Mispredicted = Best != R.Selection.KernelIndex;
-        R.RegretMs = Oracle[R.Selection.KernelIndex].totalMs(R.Iterations) -
-                     Oracle[Best].totalMs(R.Iterations);
-      } catch (const InjectedFaultError &) {
-        // Verification skipped; the response itself is unaffected.
+        const Status Ran = RunOperands([&](const std::vector<double> &XK) {
+          return Pipeline.run(Plan, A, XK);
+        });
+        // An expired deadline is no kernel failure: the breaker hears a
+        // success, so a half-open probe cannot stay in flight forever.
+        RunBreaker.recordSuccess();
+        if (!Ran.ok())
+          return finishError(Ran, Start);
+        // One wall sample for the operand loop against the modeled
+        // per-operand run times the operand count.
+        recordStage(RunClock, StageRunUs, &CostErrorRun,
+                    R.IterationMs * static_cast<double>(N));
+      } catch (const InjectedFaultError &E) {
+        RunBreaker.recordFailure();
+        if (E.status().isRetryable())
+          return finishError(E.status(), Start);
+        Degraded = true;
       } catch (const std::bad_alloc &) {
+        RunBreaker.recordFailure();
+        Degraded = true;
       }
-      recordStage(Oracle, StageOracleUs, nullptr, 0.0);
     }
   }
 
   if (Degraded) {
-    // Graceful degradation: answer with the deterministic baseline CSR
-    // kernel. No model, no preprocessing, no cached state — and none of
-    // the fault sites above — so the fallback works precisely when the
-    // pipeline does not. The response is marked and charged as what it
-    // is: a baseline serve (zero selection overhead, zero preprocessing).
-    R.Degraded = true;
-    R.Selection = SelectionResult();
-    R.Selection.KernelIndex = Baseline;
-    R.ModeledCollectionMs = 0.0;
-    R.PreprocessAmortized = false;
-    R.PreprocessMs = 0.0;
-    R.ModeledPreprocessMs = 0.0;
-    R.IterationMs = 0.0;
-    R.Y.clear();
-    R.OracleChecked = false;
+    // Graceful degradation to the deterministic baseline CSR kernel: no
+    // model, no preprocessing, no cached state and none of the fault
+    // sites above, so it works precisely when the pipeline does not. It
+    // is charged as a baseline serve (no selection overhead, no
+    // preprocessing), and every operand reruns so all of Y comes from one
+    // kernel.
+    Plan = ExecutionPlan();
+    Plan.Selection.KernelIndex = Baseline;
     ScopedSpan DegradedSpan(spanname::ServeDegraded, RequestId);
-    if (Request.Execute) {
-      assert(X.size() == M.numCols() && "operand length mismatch");
-      SpmvRun Run = runBaseline(M, Entry->Stats, X);
-      R.IterationMs = Run.Timing.TotalMs;
-      R.Y = std::move(Run.Y);
-    }
+    const Status Ran = RunOperands([&](const std::vector<double> &XK) {
+      return runBaseline(M, Entry->Stats, XK);
+    });
+    if (!Ran.ok())
+      return finishError(Ran, Start);
   }
-  R.Executed = Request.Execute;
+  R.Degraded = Degraded;
+  R.Executed = N > 0;
+  R.Selection = Plan.Selection;
+  R.ModeledCollectionMs = Plan.ModeledCollectionMs;
+  R.PreprocessAmortized = Plan.PreprocessAmortized;
+  R.PreprocessMs = Plan.PreprocessMs;
+  R.ModeledPreprocessMs = Plan.ModeledPreprocessMs;
+  if (!Degraded && !Batch && N > 0 && Options.VerifyOracle)
+    verifyOracle(A, Entry, X[0], R);
 
   R.ServiceMicros = microsSince(Start);
 
   // Commit telemetry before returning so stats() is consistent once the
-  // caller has its response.
+  // caller has its response. A request is one route, one preprocessing
+  // charge and one plan whatever its operand count; the degraded path
+  // charges no preprocessing and builds no plan.
   Requests.add();
   if (R.Selection.UsedGatheredModel)
     GatheredRoutes.add();
-  if (R.Executed)
-    Executions.add();
-  if (R.Executed && !R.Degraded) {
-    // The degraded path charges no preprocessing and builds no plan, so
-    // it moves neither the amortization nor the plan-cache counters.
-    (R.PreprocessAmortized ? AmortizedPreprocesses : PaidPreprocesses).add();
-    (PlanReused ? PlansReused : PlansBuilt).add();
+  if (R.Executed) {
+    Executions.add(N);
+    if (!R.Degraded) {
+      (R.PreprocessAmortized ? AmortizedPreprocesses : PaidPreprocesses).add();
+      (PlanReused ? PlansReused : PlansBuilt).add();
+    }
   }
   if (R.OracleChecked) {
     OracleChecks.add();
@@ -460,215 +444,81 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   }
   if (R.Degraded)
     DegradedServes.add();
+  if (Batch) {
+    BatchRequests.add();
+    BatchedOperands.add(N);
+  }
   Latency.record(R.ServiceMicros);
-  return R;
+  return Status::okStatus();
 }
 
-Expected<BatchResponse> SeerServer::executeBatchRegistered(
-    const RegisteredMatrix &Registered, uint32_t Iterations,
-    const std::vector<std::vector<double>> &Operands,
-    std::chrono::steady_clock::time_point Deadline) {
-  assert(Registered.valid() && "batch against an empty registration");
-  assert(!Operands.empty() && "empty batch");
-  const auto Start = std::chrono::steady_clock::now();
-  const CsrMatrix &M = *Registered.Matrix;
+void SeerServer::verifyOracle(
+    const AnalyzedMatrix &A,
+    const std::shared_ptr<FingerprintCache::Entry> &Entry,
+    const std::vector<double> &X, ServeResponse &R) {
+  // Best-effort under injection: a fault here (the serve.oracle site, or
+  // kernel.prepare/plan.run firing inside the probe sweep) skips
+  // verification and serves the response unverified rather than failing
+  // or degrading it.
   const Planner &Pipeline = Runtime.planner();
-  const AnalyzedMatrix A = Planner::adopt(M, Registered.Entry->Stats,
-                                          Registered.Fingerprint);
-  FaultInjector &Faults = FaultInjector::instance();
-
-  // Per-entry arena reset, as in serveEntry.
-  Planner::scratchArena().reset();
-
-  // Observability (see serveEntry): one request id for the batch, one
-  // serve.batch span enclosing every stage span it spawns.
-  const bool Obs = SpanRecorder::instance().armed();
-  const uint64_t RequestId =
-      Obs ? NextRequestId.fetch_add(1, std::memory_order_relaxed) + 1 : 0;
-  ScopedRequestId IdScope(RequestId);
-  ScopedSpan BatchSpan(spanname::ServeBatch, RequestId);
-  BatchSpan.tag("operands", static_cast<double>(Operands.size()));
-
-  if (deadlineExpired(Deadline))
-    return finishError(
-        Status::deadlineExceeded("deadline expired at batch admission"),
-        Start);
-
-  BatchResponse B;
-  B.Iterations = Iterations ? Iterations : 1;
-  B.Fingerprint = Registered.Fingerprint;
-  B.CacheHit = true; // registration paid the analysis
-
-  bool Degraded = false;
+  const StageClock Clock(SpanRecorder::instance().armed());
+  ScopedSpan OracleSpan(spanname::ServeOracle);
   try {
-    if (Status F = Faults.check(faultsite::BatchExecute); !F.ok())
-      throw InjectedFaultError(std::move(F));
-  } catch (const InjectedFaultError &E) {
-    if (E.status().isRetryable())
-      return finishError(E.status(), Start);
-    Degraded = true;
-  } catch (const std::bad_alloc &) {
-    Degraded = true;
-  }
-
-  // One plan for the whole batch: routing, selection and preprocessing
-  // are charged once; each operand pays only its iterations. Stage
-  // failures follow the single-request rules (typed when retryable,
-  // degraded otherwise) applied once per batch.
-  ExecutionPlan Plan;
-  if (!Degraded) {
-    if (!SelectBreaker.allow()) {
-      Degraded = true;
-    } else {
-      const StageClock Select(Obs);
-      try {
-        if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
-          throw InjectedFaultError(std::move(F));
-        Plan = Pipeline.plan(A, B.Iterations, CollectionCharging::Precollected);
-        SelectBreaker.recordSuccess();
-        recordStage(Select, StageSelectUs, &CostErrorSelect,
-                    Plan.Selection.overheadMs());
-      } catch (const InjectedFaultError &E) {
-        SelectBreaker.recordFailure();
-        if (E.status().isRetryable())
-          return finishError(E.status(), Start);
-        Degraded = true;
-      } catch (const std::bad_alloc &) {
-        SelectBreaker.recordFailure();
-        Degraded = true;
-      }
+    FaultInjector::instance().checkOrThrow(faultsite::ServeOracle);
+    std::vector<KernelMeasurement> Oracle;
+    {
+      MutexLock Lock(Entry->Mutex);
+      Oracle = Entry->Oracle;
     }
-  }
-
-  if (!Degraded) {
-    B.Selection = Plan.Selection;
-    B.ModeledCollectionMs = Plan.ModeledCollectionMs;
-    if (Plan.Selection.UsedGatheredModel)
-      SavedCollectionNs.add(msToNanos(Plan.ModeledCollectionMs));
-  }
-
-  if (deadlineExpired(Deadline))
-    return finishError(
-        Status::deadlineExceeded("deadline expired after batch selection"),
-        Start);
-
-  bool PlanReused = false;
-  if (!Degraded) {
-    if (!PrepareBreaker.allow()) {
-      Degraded = true;
-    } else {
-      const StageClock Prepare(Obs);
-      try {
-        PlanReused = preparePlan(Plan, A, Registered.Entry);
-        PrepareBreaker.recordSuccess();
-        recordStage(Prepare, StagePrepareUs,
-                    (!PlanReused && !Plan.PreprocessAmortized)
-                        ? &CostErrorPrepare
-                        : nullptr,
-                    Plan.ModeledPreprocessMs);
-      } catch (const InjectedFaultError &E) {
-        PrepareBreaker.recordFailure();
-        if (E.status().isRetryable())
-          return finishError(E.status(), Start);
-        Degraded = true;
-      } catch (const std::bad_alloc &) {
-        PrepareBreaker.recordFailure();
-        Degraded = true;
+    if (Oracle.empty()) {
+      // The sweep: one planner-prepared plan per registry kernel.
+      Oracle.resize(Registry.size());
+      std::vector<ExecutionPlan> Probes;
+      Probes.reserve(Registry.size());
+      for (size_t K = 0; K < Registry.size(); ++K) {
+        Probes.push_back(Pipeline.planForKernel(A, K));
+        const SpmvRun Probe = Pipeline.run(Probes[K], A, X);
+        Oracle[K].PreprocessMs = Probes[K].ModeledPreprocessMs;
+        Oracle[K].IterationMs = Probe.Timing.TotalMs;
       }
-    }
-  }
-
-  if (!Degraded) {
-    B.PreprocessAmortized = Plan.PreprocessAmortized;
-    B.PreprocessMs = Plan.PreprocessMs;
-    B.ModeledPreprocessMs = Plan.ModeledPreprocessMs;
-    if (Plan.PreprocessAmortized)
-      SavedPreprocessNs.add(msToNanos(Plan.ModeledPreprocessMs));
-
-    B.Y.reserve(Operands.size());
-    if (!RunBreaker.allow()) {
-      Degraded = true;
-    } else {
-      const StageClock RunClock(Obs);
-      try {
-        for (const std::vector<double> &X : Operands) {
-          // The per-operand deadline checkpoint: an expired batch stops
-          // here instead of finishing its tail. Work already done is
-          // discarded — the caller asked for the whole batch by a time,
-          // not a prefix of it.
-          if (deadlineExpired(Deadline))
-            return finishError(Status::deadlineExceeded(
-                                   "deadline expired mid-batch after " +
-                                   std::to_string(B.Y.size()) + " of " +
-                                   std::to_string(Operands.size()) +
-                                   " operands"),
-                               Start);
-          assert(X.size() == M.numCols() && "operand length mismatch");
-          SpmvRun Run = Pipeline.run(Plan, A, X);
-          B.IterationMs = Run.Timing.TotalMs;
-          B.Y.push_back(std::move(Run.Y));
+      bool Grew = false;
+      {
+        MutexLock Lock(Entry->Mutex);
+        if (Entry->Oracle.empty()) {
+          Entry->Oracle = Oracle;
+          Grew = true;
         }
-        RunBreaker.recordSuccess();
-        // One wall sample for the whole operand loop; the modeled cost
-        // is the per-operand run scaled by the batch size.
-        recordStage(RunClock, StageRunUs, &CostErrorRun,
-                    B.IterationMs * static_cast<double>(Operands.size()));
-      } catch (const InjectedFaultError &E) {
-        RunBreaker.recordFailure();
-        if (E.status().isRetryable())
-          return finishError(E.status(), Start);
-        Degraded = true;
-      } catch (const std::bad_alloc &) {
-        RunBreaker.recordFailure();
-        Degraded = true;
+        // Stash the sweep's by-product plans into empty ledger slots,
+        // unpaid: a later execution of that kernel reuses the state but
+        // still gets charged its one-time cost, and the byte-budgeted
+        // cache sheds these first under pressure.
+        for (size_t K = 0; K < Probes.size(); ++K) {
+          FingerprintCache::KernelSlot &Slot = Entry->Kernels[K];
+          if (!Slot.State && !Slot.Paid && Probes[K].State) {
+            Slot.State = std::move(Probes[K].State);
+            Slot.PreprocessMs = Probes[K].ModeledPreprocessMs;
+            Slot.Thunk = Probes[K].Thunk;
+            Grew = true;
+          }
+        }
       }
+      if (Grew)
+        Cache.noteMutation(Entry);
     }
+    size_t Best = 0;
+    for (size_t K = 1; K < Oracle.size(); ++K)
+      if (Oracle[K].totalMs(R.Iterations) < Oracle[Best].totalMs(R.Iterations))
+        Best = K;
+    R.OracleChecked = true;
+    R.OracleKernelIndex = Best;
+    R.Mispredicted = Best != R.Selection.KernelIndex;
+    R.RegretMs = Oracle[R.Selection.KernelIndex].totalMs(R.Iterations) -
+                 Oracle[Best].totalMs(R.Iterations);
+  } catch (const InjectedFaultError &) {
+    // Verification skipped; the response itself is unaffected.
+  } catch (const std::bad_alloc &) {
   }
-
-  if (Degraded) {
-    // The whole batch falls back to the baseline kernel: partial planned
-    // results are discarded so every Y[k] comes from the same kernel
-    // (the per-operand bit-identity contract).
-    B.Degraded = true;
-    B.Selection = SelectionResult();
-    B.Selection.KernelIndex = Baseline;
-    B.ModeledCollectionMs = 0.0;
-    B.PreprocessAmortized = false;
-    B.PreprocessMs = 0.0;
-    B.ModeledPreprocessMs = 0.0;
-    B.Y.clear();
-    B.Y.reserve(Operands.size());
-    ScopedSpan DegradedSpan(spanname::ServeDegraded, RequestId);
-    for (const std::vector<double> &X : Operands) {
-      if (deadlineExpired(Deadline))
-        return finishError(
-            Status::deadlineExceeded("deadline expired mid-batch (degraded)"),
-            Start);
-      assert(X.size() == M.numCols() && "operand length mismatch");
-      SpmvRun Run = runBaseline(M, Registered.Entry->Stats, X);
-      B.IterationMs = Run.Timing.TotalMs;
-      B.Y.push_back(std::move(Run.Y));
-    }
-  }
-
-  B.ServiceMicros = microsSince(Start);
-
-  // Telemetry: a batch is one request (one route, one preprocessing
-  // charge, one plan) executing N operands.
-  Requests.add();
-  if (B.Selection.UsedGatheredModel)
-    GatheredRoutes.add();
-  Executions.add(Operands.size());
-  if (!B.Degraded) {
-    (B.PreprocessAmortized ? AmortizedPreprocesses : PaidPreprocesses).add();
-    (PlanReused ? PlansReused : PlansBuilt).add();
-  } else {
-    DegradedServes.add();
-  }
-  BatchRequests.add();
-  BatchedOperands.add(Operands.size());
-  Latency.record(B.ServiceMicros);
-  return B;
+  recordStage(Clock, StageOracleUs, nullptr, 0.0);
 }
 
 ServerStats SeerServer::stats() const {

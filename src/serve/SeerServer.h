@@ -26,11 +26,27 @@
 ///
 /// Clients serve *registered matrices*: registerMatrix() pays
 /// fingerprinting and analysis once and pins the cache entry for the
-/// registration's lifetime; handleRegistered() and
-/// executeBatchRegistered() then serve selection/execution with no
+/// registration's lifetime; requests then carry the registration, with no
 /// per-request hashing or cache lookup at all. The ergonomic,
 /// Status-typed client surface over this (sessions, opaque handles,
 /// async submission) lives in api/SeerService.h.
+///
+/// One stage pipeline, serveStages(), serves every request. A select is
+/// a plan run over zero operands, an execute over one and a batch over
+/// N: selection and preparation are charged once per request, iterations
+/// per operand (Sec. IV-E's amortization carried across requests). The
+/// stages, their circuit breakers and fault sites, the degraded fallback
+/// and the telemetry commit are the same for every shape; only a batch
+/// adds the batch.execute fault site and the batch counters, and only a
+/// single execute verifies against the oracle. handleRegistered() and
+/// executeBatchRegistered() are adapters that shape the two response
+/// types.
+///
+/// Deadline rule, the same for every shape: serveStages() checks the
+/// request's deadline before selection, after selection, and before each
+/// operand's run (planned or degraded), and answers DEADLINE_EXCEEDED at
+/// the first checkpoint that finds it expired, discarding work already
+/// done.
 ///
 /// Thread safety: every request entry point may be called concurrently
 /// from any number of threads. All shared state is behind the sharded
@@ -123,38 +139,34 @@ public:
   /// ordinary eviction candidate again.
   void releaseMatrix(const RegisteredMatrix &Registered);
 
-  /// Serves one request against a registered matrix. No fingerprinting,
-  /// no cache lookup — the per-request cost registration amortized away.
-  /// Feature collection is never re-charged (the analysis was paid at
-  /// registration, so CacheHit is always true in the response).
-  /// Thread-safe.
+  /// Serves a select, or with Options.Execute an execute, against a
+  /// registered matrix. No fingerprinting, no cache lookup — the
+  /// per-request cost registration amortized away. Feature collection is
+  /// never re-charged (the analysis was paid at registration, so CacheHit
+  /// is always true in the response). Thread-safe.
   ///
-  /// Failure semantics (PR 6): DEADLINE_EXCEEDED when Options.Deadline
-  /// expired at admission or between pipeline stages; a *retryable*
-  /// injected/transient stage failure (UNAVAILABLE, RESOURCE_EXHAUSTED)
-  /// propagates typed so the session layer's RetryPolicy can re-issue;
-  /// any *terminal* stage failure (or an open circuit breaker) degrades
-  /// to the deterministic baseline CSR kernel instead — the response
-  /// comes back OK with Degraded set, never a crash.
+  /// Failure semantics: DEADLINE_EXCEEDED at an expired checkpoint (see
+  /// the file comment); a *retryable* injected/transient stage failure
+  /// (UNAVAILABLE, RESOURCE_EXHAUSTED) propagates typed so the session
+  /// layer's RetryPolicy can re-issue; any *terminal* stage failure (or
+  /// an open circuit breaker) degrades to the deterministic baseline CSR
+  /// kernel instead — the response comes back OK with Degraded set,
+  /// never a crash.
   Expected<ServeResponse> handleRegistered(const RegisteredMatrix &Registered,
                                            const ServeOptions &Options);
 
-  /// Executes one ExecutionPlan over \p Operands: routing, selection and
-  /// preprocessing are charged once for the batch, then every operand
-  /// runs \p Iterations SpMVs against the shared prepared plan. Each
-  /// operand must have numCols() elements; Operands must be non-empty.
-  /// Bit-identical per operand to issuing the same executions one by one
-  /// (the plan the single path rebuilds per request is this one).
-  /// Thread-safe; concurrent batches share the cached plan through the
-  /// same ledger as single requests. Same failure semantics as
-  /// handleRegistered(); \p Deadline (min() = none) is additionally
-  /// checked between operands, so an expired batch stops instead of
-  /// finishing its tail.
-  Expected<BatchResponse> executeBatchRegistered(
-      const RegisteredMatrix &Registered, uint32_t Iterations,
-      const std::vector<std::vector<double>> &Operands,
-      std::chrono::steady_clock::time_point Deadline =
-          std::chrono::steady_clock::time_point::min());
+  /// Serves a batch: the plan handleRegistered() builds for one execute,
+  /// run over every operand in Options.Operands (non-empty, each
+  /// numCols() long), so routing, selection and preprocessing are
+  /// charged once and each operand pays only its iterations. Bit-identical
+  /// per operand to issuing the same executions one by one. Thread-safe;
+  /// concurrent batches share the cached plan through the same ledger as
+  /// single requests. Same failure semantics as handleRegistered(), plus
+  /// the batch.execute fault site; a degraded batch reruns every operand
+  /// on the baseline kernel.
+  Expected<BatchResponse>
+  executeBatchRegistered(const RegisteredMatrix &Registered,
+                         const ServeOptions &Options);
 
   /// Telemetry snapshot, assembled from the metrics registry (which is
   /// the single source of truth — ServerStats is a *view*). The counters
@@ -187,15 +199,21 @@ public:
   size_t baselineKernel() const { return Baseline; }
 
 private:
-  /// The single-request path behind handleRegistered(): one Planner-built
-  /// ExecutionPlan (selection, optional preparation + execution + oracle
-  /// verification) against the registration's pinned cache entry.
-  /// \p Start is when the request entered the server.
-  Expected<ServeResponse>
-  serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
-             const std::shared_ptr<FingerprintCache::Entry> &E,
-             const ServeOptions &Options,
-             std::chrono::steady_clock::time_point Start);
+  /// The one stage pipeline behind both entry points (see the file
+  /// comment): serves \p Options against \p Registered over its zero,
+  /// one or N operands, filling \p R with the charges and writing
+  /// operand k's product into \p Y[k]. A failure has already been
+  /// counted by finishError() when it is returned.
+  Status serveStages(const RegisteredMatrix &Registered,
+                     const ServeOptions &Options, ServeResponse &R,
+                     std::vector<double> *Y);
+
+  /// Online feedback for a single execute: compares \p R's selection
+  /// with the cached noise-free oracle (measured over \p X and cached
+  /// per fingerprint on first use). Best-effort: a fault skips it.
+  void verifyOracle(const AnalyzedMatrix &A,
+                    const std::shared_ptr<FingerprintCache::Entry> &E,
+                    const std::vector<double> &X, ServeResponse &R);
 
   /// Runs one baseline-kernel SpMV directly (no Planner stages, no fault
   /// sites, no preprocessing) — the degraded execution path.

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The request/response structs and telemetry types of the Seer serving
-/// layer. `ServeOptions` asks the server to select (and optionally
-/// execute) a kernel for one registered matrix; the `ServeResponse`
-/// carries the selection plus the costs that were actually *charged* for
-/// this request — which is where serving differs from the one-shot
+/// layer. `ServeOptions` asks the server to select a kernel for one
+/// registered matrix and to run it over zero operands (a select), one (an
+/// execute) or N (a batch); the `ServeResponse` and `BatchResponse` carry
+/// the selection plus the costs that were actually *charged* for the
+/// request — which is where serving differs from the one-shot
 /// runtime: registration paid feature collection, so a request charges
 /// none, and an amortized kernel charges zero preprocessing cost because
 /// an earlier request in the session paid it (the paper's
@@ -26,7 +27,6 @@
 
 #include "core/SeerRuntime.h"
 #include "sparse/CsrMatrix.h"
-#include "support/Metrics.h"
 
 #include <chrono>
 #include <cstdint>
@@ -34,8 +34,10 @@
 
 namespace seer {
 
-/// Per-request knobs of SeerServer::handleRegistered() (the matrix itself
-/// is the registration the request is served against).
+/// One request to SeerServer's stage pipeline, for both request shapes
+/// (the matrix itself is the registration the request is served
+/// against): handleRegistered() serves a select or an execute,
+/// executeBatchRegistered() a batch over Operands.
 struct ServeOptions {
   /// Expected SpMV iteration count (Sec. IV-E break-even axis).
   uint32_t Iterations = 1;
@@ -44,17 +46,21 @@ struct ServeOptions {
   /// With Execute: benchmark every registry kernel for this matrix (the
   /// oracle) and record whether the selection was a misprediction. The
   /// oracle measurements are cached per fingerprint, so repeat matrices
-  /// verify for free.
+  /// verify for free. Single executes only; a batch ignores it.
   bool VerifyOracle = false;
-  /// SpMV operand; when null the server uses an all-ones vector of the
-  /// matrix's column count. Borrowed for the duration of the call only.
+  /// SpMV operand of an execute; when null the server uses an all-ones
+  /// vector of the matrix's column count. Borrowed for the duration of
+  /// the call only.
   const std::vector<double> *Operand = nullptr;
+  /// A batch's operands (non-empty, each numCols() long), run in order
+  /// against the one plan. Borrowed for the duration of the call only.
+  const std::vector<std::vector<double>> *Operands = nullptr;
   /// Absolute deadline; time_point::min() (the default) means none. The
-  /// server checks it when the request reaches the pipeline (so queue
-  /// wait counts against it) and again between the selection and
-  /// execution stages, answering DEADLINE_EXCEEDED instead of running
-  /// expired work to completion. Computed from Request::DeadlineMs at
-  /// submission time by the session layer.
+  /// server checks it before selection (so queue wait counts against
+  /// it), after selection, and before each operand's run, answering
+  /// DEADLINE_EXCEEDED instead of running expired work to completion.
+  /// Computed from the request's budget at submission time by the
+  /// session layer.
   std::chrono::steady_clock::time_point Deadline =
       std::chrono::steady_clock::time_point::min();
 
@@ -106,7 +112,7 @@ struct ServeResponse {
   /// Modeled regret: chosen total minus oracle total, ms (>= 0).
   double RegretMs = 0.0;
 
-  /// Host wall-clock time spent inside handleRegistered(), microseconds.
+  /// Host wall-clock time spent serving the request, microseconds.
   double ServiceMicros = 0.0;
 
   /// True when a pipeline-stage failure (or an open circuit breaker) was
@@ -167,23 +173,6 @@ struct BatchResponse {
     return Selection.overheadMs() + PreprocessMs +
            static_cast<double>(operands()) * Iterations * IterationMs;
   }
-};
-
-/// Bounded, lock-free latency recorder: the generic geometric
-/// `Histogram` from support/Metrics.h under its historical
-/// microsecond-flavored interface (0.01 us .. ~1e8 us range). Kept as a
-/// distinct type so serving code reads in latency vocabulary; all
-/// mechanics — bucket layout, rejection of non-finite samples, the
-/// interpolated percentile estimate — live in the one Histogram
-/// implementation the MetricsRegistry exports.
-class LatencyHistogram : public Histogram {
-public:
-  /// Mean recorded latency, microseconds (0 with no samples).
-  double meanMicros() const { return mean(); }
-
-  /// Approximate \p P-quantile (0 < P < 1) in microseconds (see
-  /// Histogram::percentile). Returns 0 with no samples.
-  double percentileMicros(double P) const { return percentile(P); }
 };
 
 /// Monotone telemetry snapshot of a SeerServer.

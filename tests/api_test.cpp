@@ -699,7 +699,9 @@ TEST(SeerServiceTest, ConcurrentExecuteBatchBitIdenticalToSerial) {
 TEST(SeerServiceTest, AsyncQueueAppliesBackpressure) {
   // Park every pool worker on a latch so admitted submissions cannot
   // finish, then fill the bounded queue: the overflow submission must be
-  // rejected with RESOURCE_EXHAUSTED, immediately and typed.
+  // rejected with RESOURCE_EXHAUSTED, immediately and typed. The latch
+  // lives on this test's stack, so the test waits for every parked
+  // worker to leave it before returning.
   ServiceConfig Config;
   Config.AsyncQueueCapacity = 2;
   SeerService Service(tinyModels(), Config);
@@ -713,9 +715,12 @@ TEST(SeerServiceTest, AsyncQueueAppliesBackpressure) {
   std::atomic<unsigned> Parked{0};
   for (unsigned W = 0; W < Workers; ++W)
     ThreadPool::shared().submit([&] {
-      std::unique_lock<std::mutex> Lock(Latch);
-      Parked.fetch_add(1);
-      Released.wait(Lock, [&] { return Release; });
+      {
+        std::unique_lock<std::mutex> Lock(Latch);
+        Parked.fetch_add(1);
+        Released.wait(Lock, [&] { return Release; });
+      }
+      Parked.fetch_sub(1);
     });
   while (Parked.load() < Workers)
     std::this_thread::yield();
@@ -751,6 +756,8 @@ TEST(SeerServiceTest, AsyncQueueAppliesBackpressure) {
   EXPECT_EQ(Stats.AsyncAccepted, 3u);
   EXPECT_EQ(Stats.AsyncRejected, 1u);
   EXPECT_TRUE(Service.release(*Handle).ok());
+  while (Parked.load() > 0)
+    std::this_thread::yield();
 }
 
 //===----------------------------------------------------------------------===//
@@ -795,10 +802,10 @@ TEST(SessionTest, EveryOpAnswersWithItsReplyKind) {
     ASSERT_TRUE(Answer) << Answer.status().toString();
     EXPECT_EQ(Answer->Type, ReplyKind);
   }
-  // Select and execute went through the service's admission; the batch
-  // executed its three deterministic operands.
+  // Select, execute and the batch went through the service's admission;
+  // the batch executed its three deterministic operands.
   const ServerStats After = Service.stats();
-  EXPECT_EQ(After.AsyncAccepted - Before.AsyncAccepted, 2u);
+  EXPECT_EQ(After.AsyncAccepted - Before.AsyncAccepted, 3u);
   EXPECT_EQ(After.BatchedOperands - Before.BatchedOperands, 3u);
   EXPECT_EQ(After.ActiveHandles, 0u);
 

@@ -20,6 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/SeerService.h"
+#include "api/Session.h"
 #include "core/ModelBundle.h"
 #include "core/Seer.h"
 #include "serve/RequestTrace.h"
@@ -456,7 +457,7 @@ TEST(ServeFaultTest, BatchDeadlineExpiresMidOperands) {
                            /*DeadlineMs=*/30.0);
   ASSERT_FALSE(Response);
   EXPECT_EQ(Response.status().code(), StatusCode::DeadlineExceeded);
-  EXPECT_NE(Response.status().message().find("mid-batch"),
+  EXPECT_NE(Response.status().message().find(" of 8 operands"),
             std::string::npos)
       << Response.status().toString();
 }
@@ -573,6 +574,40 @@ TEST(FaultSiteTest, QueueAdmitFaultRejectsSubmission) {
   const auto Got = Future->get();
   EXPECT_TRUE(Got) << Got.status().toString();
   Service.drain();
+}
+
+TEST(FaultSiteTest, QueueAdmitFaultRejectsASessionBatch) {
+  // A batch is up to MaxBatchOperands operands of work: it passes the
+  // same admission as a select or an execute, so a shut admission queue
+  // turns it away typed instead of running it.
+  DisarmGuard Guard;
+  SeerService Service(tinyModels());
+  Session Client(Service);
+  SessionOp Open;
+  Open.Type = SessionOp::Kind::Open;
+  Open.Matrix = genBanded(1024, 8, 0.9, 7);
+  const auto Opened = Client.apply(std::move(Open));
+  ASSERT_TRUE(Opened) << Opened.status().toString();
+
+  SessionOp Batch;
+  Batch.Type = SessionOp::Kind::Batch;
+  Batch.Handle = Opened->Handle;
+  Batch.Iterations = 5;
+  Batch.Count = 4;
+  const ServerStats Before = Service.stats();
+  armPlan("queue.admit every=1 status=RESOURCE_EXHAUSTED admission shut\n");
+  const auto Rejected = Client.apply(Batch);
+  ASSERT_FALSE(Rejected);
+  EXPECT_EQ(Rejected.status().code(), StatusCode::ResourceExhausted);
+  const ServerStats Shut = Service.stats();
+  EXPECT_EQ(Shut.AsyncRejected - Before.AsyncRejected, 1u);
+  EXPECT_EQ(Shut.BatchRequests, Before.BatchRequests);
+
+  FaultInjector::instance().disarm();
+  const auto Admitted = Client.apply(Batch);
+  ASSERT_TRUE(Admitted) << Admitted.status().toString();
+  EXPECT_EQ(Admitted->Batch.operands(), 4u);
+  EXPECT_EQ(Service.stats().AsyncAccepted - Shut.AsyncAccepted, 1u);
 }
 
 TEST(FaultSiteTest, ServeOracleFaultSkipsVerificationNotTheServe) {

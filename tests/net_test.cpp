@@ -1080,4 +1080,32 @@ TEST(LbHandlerTest, RoutesSessionsAcrossShardsBitIdentically) {
   ServerB->join();
 }
 
+TEST(LbHandlerTest, UnknownHandleIsOneErrorWithOrWithoutTheBalancer) {
+  // A handle nobody issued gets the same typed answer from a shard and
+  // from the balancer in front of it, for a Close and for a request.
+  SeerService Shard(tinyModels());
+  ServiceFrameHandler Handler(Shard);
+  auto ShardServer = startLoopback(Handler);
+  LbHandler Lb({ShardEndpoint{"127.0.0.1", ShardServer->port()}});
+  auto LbServer = startLoopback(Lb);
+  auto Direct = NetClient::connect("127.0.0.1", ShardServer->port());
+  auto Balanced = NetClient::connect("127.0.0.1", LbServer->port());
+  ASSERT_TRUE(Direct.ok()) << Direct.status().toString();
+  ASSERT_TRUE(Balanced.ok()) << Balanced.status().toString();
+
+  const Status Want = unknownHandle(5);
+  EXPECT_EQ(Want.code(), StatusCode::NotFound);
+  for (const Status &Got : {Direct->close(5), Balanced->close(5),
+                            Direct->select(5, 5).status(),
+                            Balanced->select(5, 5).status()}) {
+    EXPECT_EQ(Got.code(), Want.code()) << Got.toString();
+    EXPECT_EQ(Got.message(), Want.message()) << Got.toString();
+  }
+
+  LbServer->requestStop();
+  LbServer->join();
+  ShardServer->requestStop();
+  ShardServer->join();
+}
+
 } // namespace

@@ -94,6 +94,15 @@ ServeResponse serveOnce(SeerServer &Server, const CsrMatrix &M,
   return Response ? std::move(*Response) : ServeResponse();
 }
 
+/// ServeOptions for a batch over \p Operands at \p Iterations.
+ServeOptions batchOptions(uint32_t Iterations,
+                          const std::vector<std::vector<double>> &Operands) {
+  ServeOptions Options;
+  Options.Iterations = Iterations;
+  Options.Operands = &Operands;
+  return Options;
+}
+
 /// ServeOptions for \p Iterations, optionally executing and verifying.
 ServeOptions options(uint32_t Iterations, bool Execute = false,
                      bool VerifyOracle = false) {
@@ -477,7 +486,8 @@ TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
   // One plan, one batch.
   SeerServer Batched(tinyModels());
   const RegisteredMatrix Reg = registerAliased(Batched, M);
-  const BatchResponse B = *Batched.executeBatchRegistered(Reg, 5, Operands);
+  const BatchResponse B =
+      *Batched.executeBatchRegistered(Reg, batchOptions(5, Operands));
 
   ASSERT_EQ(B.operands(), Operands.size());
   EXPECT_EQ(B.Selection.KernelIndex, Singles[0].Selection.KernelIndex);
@@ -515,7 +525,8 @@ TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
 
   // The same plan served a second time is reused and amortized,
   // bit-identically.
-  const BatchResponse Again = *Batched.executeBatchRegistered(Reg, 5, Operands);
+  const BatchResponse Again =
+      *Batched.executeBatchRegistered(Reg, batchOptions(5, Operands));
   EXPECT_TRUE(Again.PreprocessAmortized);
   EXPECT_EQ(Again.PreprocessMs, 0.0);
   EXPECT_EQ(Again.Y, B.Y);
@@ -650,11 +661,11 @@ TEST(CacheBudgetTest, PlanReuseAcrossEvictionRebuildsBitIdentically) {
   SeerServer Server(tinyModels(), Config);
 
   const RegisteredMatrix First = registerAliased(Server, A);
-  const BatchResponse Built = *Server.executeBatchRegistered(First, 19,
-                                                             Operands);
+  const BatchResponse Built =
+      *Server.executeBatchRegistered(First, batchOptions(19, Operands));
   EXPECT_FALSE(Built.PreprocessAmortized);
-  const BatchResponse Reused = *Server.executeBatchRegistered(First, 19,
-                                                              Operands);
+  const BatchResponse Reused =
+      *Server.executeBatchRegistered(First, batchOptions(19, Operands));
   EXPECT_TRUE(Reused.PreprocessAmortized);
   EXPECT_EQ(Reused.Y, Built.Y);
   Server.releaseMatrix(First);
@@ -667,8 +678,8 @@ TEST(CacheBudgetTest, PlanReuseAcrossEvictionRebuildsBitIdentically) {
   // rebuilt and re-charged, identical bits.
   const RegisteredMatrix Second = registerAliased(Server, A);
   EXPECT_FALSE(Second.AnalysisReused);
-  const BatchResponse Rebuilt = *Server.executeBatchRegistered(Second, 19,
-                                                               Operands);
+  const BatchResponse Rebuilt =
+      *Server.executeBatchRegistered(Second, batchOptions(19, Operands));
   EXPECT_FALSE(Rebuilt.PreprocessAmortized);
   EXPECT_EQ(Rebuilt.PreprocessMs, Built.PreprocessMs);
   EXPECT_EQ(Rebuilt.Selection.KernelIndex, Built.Selection.KernelIndex);
@@ -848,36 +859,36 @@ TEST(CacheBudgetTest, UnpinnedConcurrentChurnNeverExceedsBudget) {
 }
 
 //===----------------------------------------------------------------------===//
-// Latency histogram
+// Latency histogram (the registry's Histogram, recording microseconds)
 //===----------------------------------------------------------------------===//
 
-TEST(LatencyHistogramTest, PercentilesApproximateTheSamples) {
-  LatencyHistogram H;
+TEST(ServeLatencyTest, PercentilesApproximateTheSamples) {
+  Histogram H;
   for (int I = 1; I <= 100; ++I)
     H.record(static_cast<double>(I)); // 1..100 us, uniform
   EXPECT_EQ(H.samples(), 100u);
-  EXPECT_NEAR(H.meanMicros(), 50.5, 0.1);
+  EXPECT_NEAR(H.mean(), 50.5, 0.1);
   // Geometric buckets are ~20% wide; percentiles land within one bucket.
-  EXPECT_NEAR(H.percentileMicros(0.50), 50.0, 12.0);
-  EXPECT_NEAR(H.percentileMicros(0.99), 99.0, 25.0);
-  EXPECT_LE(H.percentileMicros(0.50), H.percentileMicros(0.99));
+  EXPECT_NEAR(H.percentile(0.50), 50.0, 12.0);
+  EXPECT_NEAR(H.percentile(0.99), 99.0, 25.0);
+  EXPECT_LE(H.percentile(0.50), H.percentile(0.99));
   H.reset();
   EXPECT_EQ(H.samples(), 0u);
-  EXPECT_EQ(H.percentileMicros(0.5), 0.0);
+  EXPECT_EQ(H.percentile(0.5), 0.0);
 }
 
-TEST(LatencyHistogramTest, RejectsNonFiniteAndNegativeSamples) {
+TEST(ServeLatencyTest, RejectsNonFiniteAndNegativeSamples) {
   // NaN and negative durations used to land in bucket 0 and drag p50
-  // toward the floor while meanMicros diverged from the bucket counts.
-  LatencyHistogram H;
+  // toward the floor while the mean diverged from the bucket counts.
+  Histogram H;
   H.record(std::numeric_limits<double>::quiet_NaN());
   H.record(-5.0);
   H.record(std::numeric_limits<double>::infinity());
   H.record(-std::numeric_limits<double>::infinity());
   EXPECT_EQ(H.samples(), 0u);
   EXPECT_EQ(H.rejected(), 4u);
-  EXPECT_EQ(H.meanMicros(), 0.0);
-  EXPECT_EQ(H.percentileMicros(0.5), 0.0);
+  EXPECT_EQ(H.mean(), 0.0);
+  EXPECT_EQ(H.percentile(0.5), 0.0);
 
   // Good samples around 100us: the rejected garbage must not have shifted
   // the percentiles or the mean.
@@ -886,9 +897,9 @@ TEST(LatencyHistogramTest, RejectsNonFiniteAndNegativeSamples) {
   H.record(std::numeric_limits<double>::quiet_NaN());
   EXPECT_EQ(H.samples(), 10u);
   EXPECT_EQ(H.rejected(), 5u);
-  EXPECT_NEAR(H.meanMicros(), 100.0, 0.1);
-  EXPECT_NEAR(H.percentileMicros(0.5), 100.0, 25.0);
-  EXPECT_NEAR(H.percentileMicros(0.99), 100.0, 25.0);
+  EXPECT_NEAR(H.mean(), 100.0, 0.1);
+  EXPECT_NEAR(H.percentile(0.5), 100.0, 25.0);
+  EXPECT_NEAR(H.percentile(0.99), 100.0, 25.0);
 
   H.reset();
   EXPECT_EQ(H.rejected(), 0u);
@@ -1090,8 +1101,9 @@ TEST(RequestTraceTest, BatchResponseLinesCarryPerBatchCharges) {
   SeerServer Server(tinyModels());
   const CsrMatrix &M = requestPool()[0];
   const RegisteredMatrix Reg = registerAliased(Server, M);
-  const BatchResponse B = *Server.executeBatchRegistered(
-      Reg, 5, buildBatchOperands(3, M.numCols()));
+  const auto Operands = buildBatchOperands(3, M.numCols());
+  const BatchResponse B =
+      *Server.executeBatchRegistered(Reg, batchOptions(5, Operands));
   const std::string Line = formatBatchResponseLine("web", B,
                                                    Server.registry());
   EXPECT_EQ(Line.find("web kernel="), 0u);
