@@ -14,8 +14,8 @@
 ///
 /// Scalar encodings are fixed-width little-endian; doubles travel as their
 /// IEEE-754 bit patterns (u64), so every cost field and Y vector
-/// round-trips bit-exactly — the property the bit-identity gates in
-/// bench/serving_throughput.cpp rely on. Variable-length fields carry an
+/// round-trips bit-exactly — the property net_test's loopback bit-identity
+/// tests and CI's loopback byte-diff rely on. Variable-length fields carry an
 /// explicit count and are bounds-checked against the frame before any
 /// allocation, so a hostile count cannot request memory the frame does not
 /// contain.

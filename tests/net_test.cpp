@@ -17,9 +17,10 @@
 // responses bit-identical to the in-process API, wire requests pass the
 // service's admission control, stopping answers the frame in flight yet
 // cannot be held forever by a peer that stops reading, finished
-// connection threads are reaped, and the consistent-hash shard
-// router is deterministic, covering, and honored end-to-end by the
-// balancer handler.
+// connection threads are reaped, the consistent-hash shard router is
+// deterministic, covering, and honored end-to-end by the balancer
+// handler, and at a fixed per-shard byte budget more shards re-analyze
+// strictly less under churn.
 //
 //===----------------------------------------------------------------------===//
 
@@ -1078,6 +1079,135 @@ TEST(LbHandlerTest, RoutesSessionsAcrossShardsBitIdentically) {
   ServerA->join();
   ServerB->requestStop();
   ServerB->join();
+}
+
+/// N loopback shards, each a service with one cache lock shard and a
+/// byte budget of \p Budget, behind an in-process balancer. Destruction
+/// stops the balancer, then the shards, so no test leaves one running.
+struct ShardFleet {
+  std::vector<std::unique_ptr<SeerService>> Services;
+  std::vector<std::unique_ptr<ServiceFrameHandler>> Handlers;
+  std::vector<std::unique_ptr<NetServer>> Servers;
+  std::unique_ptr<LbHandler> Lb;
+  std::unique_ptr<NetServer> LbServer;
+
+  ShardFleet(size_t N, size_t Budget) {
+    ServiceConfig Config;
+    // The budget splits evenly across cache lock shards; one lock shard
+    // keeps the whole budget in one slice that can hold whole entries.
+    Config.Server.CacheShards = 1;
+    Config.Server.CacheBudgetBytes = Budget;
+    std::vector<ShardEndpoint> Endpoints;
+    for (size_t I = 0; I < N; ++I) {
+      Services.push_back(std::make_unique<SeerService>(tinyModels(), Config));
+      Handlers.push_back(
+          std::make_unique<ServiceFrameHandler>(*Services.back()));
+      Servers.push_back(startLoopback(*Handlers.back()));
+      Endpoints.push_back(ShardEndpoint{"127.0.0.1", Servers.back()->port()});
+    }
+    Lb = std::make_unique<LbHandler>(std::move(Endpoints));
+    LbServer = startLoopback(*Lb);
+  }
+
+  ~ShardFleet() {
+    LbServer->requestStop();
+    LbServer->join();
+    for (std::unique_ptr<NetServer> &Server : Servers) {
+      Server->requestStop();
+      Server->join();
+    }
+  }
+};
+
+/// 24 small irregular matrices cycling four generator families.
+std::vector<CsrMatrix> churnPool() {
+  std::vector<CsrMatrix> Pool;
+  for (size_t I = 0; I < 24; ++I) {
+    const uint32_t Rows = 256u << (I % 4); // 256 .. 2048
+    const uint64_t Seed = 0x5e21e0ull + I;
+    switch (I % 4) {
+    case 0:
+      Pool.push_back(genBanded(Rows, 8, 0.9, Seed));
+      break;
+    case 1:
+      Pool.push_back(genPowerLaw(Rows, Rows, 1.8, 1, Rows / 4, Seed));
+      break;
+    case 2:
+      Pool.push_back(genUniformRandom(Rows, Rows, 12.0, 0.5, Seed));
+      break;
+    default:
+      Pool.push_back(genDenseRowOutlier(Rows, Rows, 6.0, 4, Rows / 8, Seed));
+      break;
+    }
+  }
+  return Pool;
+}
+
+TEST(LbHandlerTest, MoreShardsReanalyzeLessAtAFixedPerShardBudget) {
+  // The scale-out cache-capacity claim, on exact counts. A serial client
+  // cycles 24 matrices through the balancer, open -> select -> close, for
+  // 4 passes; the close unpins the entry, so each shard's byte budget
+  // (not the handle table) decides what survives to the next pass. The
+  // budget is fixed per shard at 60% of the one-shard footprint: one
+  // shard must evict and re-analyze, while 2 or 4 shards each hold only
+  // their hash slice of the set and re-analyze strictly less.
+  const std::vector<CsrMatrix> Pool = churnPool();
+  const uint32_t IterationPattern[3] = {1, 5, 19};
+  const KernelRegistry Registry;
+  const GpuSimulator Sim(DeviceModel::mi100());
+  const SeerRuntime Reference(tinyModels(), Registry, Sim);
+  std::vector<SelectionResult> Direct;
+  for (size_t I = 0; I < Pool.size(); ++I)
+    Direct.push_back(Reference.select(Pool[I], IterationPattern[I % 3]));
+
+  // The select-only footprint of the whole set on one unbounded shard.
+  uint64_t Footprint = 0;
+  {
+    ServiceConfig Config;
+    Config.Server.CacheShards = 1;
+    SeerService Shard(tinyModels(), Config);
+    for (size_t I = 0; I < Pool.size(); ++I) {
+      auto Handle = Shard.registerMatrix(Pool[I]);
+      ASSERT_TRUE(Handle) << Handle.status().toString();
+      ASSERT_TRUE(Shard.select(*Handle, IterationPattern[I % 3]));
+      ASSERT_TRUE(Shard.release(*Handle).ok());
+    }
+    Footprint = Shard.stats().BytesCached;
+  }
+  ASSERT_GT(Footprint, 0u);
+  const size_t Budget = static_cast<size_t>(Footprint * 3 / 5);
+
+  std::vector<uint64_t> Reanalyses;
+  for (const size_t Shards : {size_t(1), size_t(2), size_t(4)}) {
+    SCOPED_TRACE(std::to_string(Shards) + " shards");
+    ShardFleet Fleet(Shards, Budget);
+    auto Client = NetClient::connect("127.0.0.1", Fleet.LbServer->port());
+    ASSERT_TRUE(Client.ok()) << Client.status().toString();
+    for (size_t Pass = 0; Pass < 4; ++Pass) {
+      for (size_t I = 0; I < Pool.size(); ++I) {
+        const auto Open = Client->open("m" + std::to_string(I), Pool[I]);
+        ASSERT_TRUE(Open) << Open.status().toString();
+        const auto Reply =
+            Client->select(Open->Handle, IterationPattern[I % 3]);
+        ASSERT_TRUE(Reply) << Reply.status().toString();
+        EXPECT_EQ(Reply->Selection.KernelIndex, Direct[I].KernelIndex)
+            << "pass " << Pass << " matrix " << I;
+        EXPECT_EQ(Reply->Selection.UsedGatheredModel,
+                  Direct[I].UsedGatheredModel)
+            << "pass " << Pass << " matrix " << I;
+        ASSERT_TRUE(Client->close(Open->Handle).ok());
+      }
+      for (const std::unique_ptr<SeerService> &Shard : Fleet.Services)
+        EXPECT_LE(Shard->stats().BytesCached, Budget) << "pass " << Pass;
+    }
+    uint64_t Total = 0;
+    for (const std::unique_ptr<SeerService> &Shard : Fleet.Services)
+      Total += Shard->stats().Reanalyses;
+    Reanalyses.push_back(Total);
+  }
+  EXPECT_GT(Reanalyses[0], 0u);
+  EXPECT_LT(Reanalyses[1], Reanalyses[0]);
+  EXPECT_LT(Reanalyses[2], Reanalyses[0]);
 }
 
 TEST(LbHandlerTest, UnknownHandleIsOneErrorWithOrWithoutTheBalancer) {

@@ -9,8 +9,9 @@
 // recording and percentile interpolation, concurrent span recording with
 // exact counts (the ThreadSanitizer CI job runs this file), ScopedSpan /
 // ScopedRequestId nesting, ring-overflow behavior, the disarmed-recorder
-// zero-allocation guarantee, and ServerStats being a faithful view of the
-// server's registry.
+// zero-allocation guarantee, ServerStats being a faithful view of the
+// server's registry, and an armed recorder leaving every answer and every
+// modeled charge exactly as a disarmed one does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -482,4 +483,74 @@ TEST(ObservabilityIntegrationTest, ServerStatsMatchesRegistry) {
   EXPECT_EQ(Service.stats().Requests, 0u);
   EXPECT_EQ(Reg.counter("seer_requests_total").value(), 0u);
   EXPECT_EQ(Reg.histogram("seer_stage_select_us").samples(), StageSamples);
+}
+
+//===----------------------------------------------------------------------===//
+// Tracing observes the pipeline without changing it
+//===----------------------------------------------------------------------===//
+
+TEST(ObservabilityIntegrationTest, ArmedTracingChargesAndAnswersLikeDisarmed) {
+  // The same single-client execute stream replayed through a fresh
+  // service disarmed, then with the span recorder armed. Every answer
+  // must match the one-shot runtime, the armed run must record spans,
+  // and the charged modeled cost must not move: instrumentation observes
+  // what is charged, it never changes it.
+  struct DisarmGuard {
+    ~DisarmGuard() { SpanRecorder::instance().disarm(); }
+  } Guard;
+
+  const std::vector<CsrMatrix> Pool = {
+      genBanded(256, 8, 0.9, 21), genPowerLaw(512, 512, 1.8, 1, 128, 22),
+      genUniformRandom(1024, 1024, 12.0, 0.5, 23),
+      genDenseRowOutlier(2048, 2048, 6.0, 4, 256, 24)};
+  constexpr uint32_t Iterations = 5;
+  constexpr size_t Passes = 4;
+  const KernelRegistry Registry;
+  const GpuSimulator Sim(DeviceModel::mi100());
+  const SeerRuntime Reference(tinyModels(), Registry, Sim);
+  std::vector<ExecutionReport> Direct;
+  for (const CsrMatrix &M : Pool)
+    Direct.push_back(Reference.execute(
+        M, std::vector<double>(M.numCols(), 1.0), Iterations));
+
+  // Charged ms of every response, in stream order.
+  const auto Replay = [&](bool Armed) {
+    if (Armed)
+      SpanRecorder::instance().arm();
+    else
+      SpanRecorder::instance().disarm();
+    SeerService Service(tinyModels());
+    std::vector<MatrixHandle> Handles;
+    for (const CsrMatrix &M : Pool) {
+      auto Handle = Service.registerMatrix(M);
+      EXPECT_TRUE(Handle) << Handle.status().toString();
+      Handles.push_back(Handle ? *Handle : MatrixHandle());
+    }
+    std::vector<double> ChargedMs;
+    for (size_t Pass = 0; Pass < Passes; ++Pass)
+      for (size_t I = 0; I < Pool.size(); ++I) {
+        const auto Response = Service.execute(Handles[I], Iterations);
+        EXPECT_TRUE(Response) << Response.status().toString();
+        if (!Response)
+          continue;
+        EXPECT_EQ(Response->Selection.KernelIndex,
+                  Direct[I].Selection.KernelIndex);
+        EXPECT_EQ(Response->Selection.UsedGatheredModel,
+                  Direct[I].Selection.UsedGatheredModel);
+        EXPECT_EQ(Response->Y, Direct[I].Y);
+        ChargedMs.push_back(Response->totalMs());
+      }
+    return ChargedMs;
+  };
+
+  const std::vector<double> Disarmed = Replay(/*Armed=*/false);
+  const std::vector<double> Armed = Replay(/*Armed=*/true);
+  const uint64_t Spans = SpanRecorder::instance().drain().size() +
+                         SpanRecorder::instance().dropped();
+  EXPECT_GT(Spans, 0u);
+
+  // Modeled cost is deterministic, so the charge is not merely within
+  // a tolerance of the disarmed run: it is the same, request by request.
+  ASSERT_EQ(Armed.size(), Pool.size() * Passes);
+  EXPECT_EQ(Armed, Disarmed);
 }

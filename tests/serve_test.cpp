@@ -737,66 +737,95 @@ TEST(CacheBudgetTest, OracleShedsBeforeWholeEntries) {
 }
 
 TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
+  // Two inputs: a select-only stream, and an execute stream that also
+  // verifies every selection against the oracle, so oracle sweeps are
+  // computed, shed and recomputed while 8 clients race.
   const std::vector<CsrMatrix> &Pool = requestPool();
   const KernelRegistry Registry;
   const GpuSimulator Sim(DeviceModel::mi100());
   const SeerRuntime Reference(tinyModels(), Registry, Sim);
   const uint32_t IterationPattern[3] = {1, 5, 19};
-  std::vector<std::vector<SelectionResult>> Direct(Pool.size());
-  for (size_t M = 0; M < Pool.size(); ++M)
-    for (uint32_t I : IterationPattern)
-      Direct[M].push_back(Reference.select(Pool[M], I));
-
-  uint64_t WorkingSet = 0;
-  {
-    SeerServer Unbounded(tinyModels());
-    for (const CsrMatrix &M : Pool)
-      serveOnce(Unbounded, M, options(1));
-    WorkingSet = Unbounded.stats().BytesCached;
-  }
-
-  // Every client pins the entry it is serving, and pinned bytes count
-  // against the budget by design (serve/FingerprintCache.h), so with 8
-  // clients a sample taken mid-stream may read over budget. The strict
-  // per-sample check lives on the unpinned cache path
-  // (UnpinnedConcurrentChurnNeverExceedsBudget); here the answers must
-  // stay bit-identical, the churn must really evict, and the cache must
-  // be back within budget once every client has released and joined.
-  ServerConfig Config;
-  Config.CacheShards = 2;
-  Config.CacheBudgetBytes = static_cast<size_t>(WorkingSet / 3);
-  SeerServer Server(tinyModels(), Config);
-  constexpr size_t NumClients = 8;
-  constexpr size_t RequestsPerClient = 40;
-  std::vector<std::string> Failures(NumClients);
-  std::vector<std::thread> Clients;
-  for (size_t C = 0; C < NumClients; ++C)
-    Clients.emplace_back([&, C] {
-      for (size_t R = 0; R < RequestsPerClient; ++R) {
-        const size_t MatrixIndex = (C + R) % Pool.size();
-        const size_t IterIndex = R % 3;
-        const ServeResponse Response =
-            serveOnce(Server, Pool[MatrixIndex],
-                      options(IterationPattern[IterIndex]));
-        const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
-        if (Response.Selection.KernelIndex != Expected.KernelIndex ||
-            Response.Selection.UsedGatheredModel !=
-                Expected.UsedGatheredModel)
-          Failures[C] = "client " + std::to_string(C) + " request " +
-                        std::to_string(R) + " diverged under churn";
+  for (const bool Execute : {false, true}) {
+    SCOPED_TRACE(Execute ? "execute + verify" : "select");
+    std::vector<std::vector<SelectionResult>> Direct(Pool.size());
+    std::vector<std::vector<std::vector<double>>> DirectY(Pool.size());
+    for (size_t M = 0; M < Pool.size(); ++M)
+      for (uint32_t I : IterationPattern) {
+        Direct[M].push_back(Reference.select(Pool[M], I));
+        if (Execute)
+          DirectY[M].push_back(
+              Reference
+                  .execute(Pool[M],
+                           std::vector<double>(Pool[M].numCols(), 1.0), I)
+                  .Y);
       }
-    });
-  for (std::thread &T : Clients)
-    T.join();
-  for (const std::string &Failure : Failures)
-    EXPECT_TRUE(Failure.empty()) << Failure;
 
-  const ServerStats Stats = Server.stats();
-  EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
-  EXPECT_EQ(Stats.PinnedMatrices, 0u);
-  EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
-  EXPECT_GT(Stats.Evictions, 0u);
-  EXPECT_GT(Stats.Reanalyses, 0u);
+    // The working set without oracle sweeps: what survives stage-1
+    // shedding, so a third of it forces whole-entry evictions in both
+    // inputs.
+    uint64_t WorkingSet = 0;
+    {
+      SeerServer Unbounded(tinyModels());
+      for (const CsrMatrix &M : Pool)
+        serveOnce(Unbounded, M, options(1, Execute));
+      WorkingSet = Unbounded.stats().BytesCached;
+    }
+
+    // Every client pins the entry it is serving, and pinned bytes count
+    // against the budget by design (serve/FingerprintCache.h), so with 8
+    // clients a sample taken mid-stream may read over budget. The strict
+    // per-sample check lives on the unpinned cache path
+    // (UnpinnedConcurrentChurnNeverExceedsBudget); here the answers must
+    // stay bit-identical, the churn must really evict, and the cache must
+    // be back within budget once every client has released and joined.
+    //
+    // Re-analysis does not depend on how the clients interleave: each
+    // client cycles all six matrices, several times, against a budget of
+    // a third of their working set, so every client overflows the budget
+    // by itself and comes back to matrices the cache has had to drop.
+    ServerConfig Config;
+    Config.CacheShards = 2;
+    Config.CacheBudgetBytes = static_cast<size_t>(WorkingSet / 3);
+    SeerServer Server(tinyModels(), Config);
+    constexpr size_t NumClients = 8;
+    constexpr size_t RequestsPerClient = 40;
+    std::vector<std::string> Failures(NumClients);
+    std::vector<std::thread> Clients;
+    for (size_t C = 0; C < NumClients; ++C)
+      Clients.emplace_back([&, C] {
+        for (size_t R = 0; R < RequestsPerClient; ++R) {
+          const size_t MatrixIndex = (C + R) % Pool.size();
+          const size_t IterIndex = R % 3;
+          const ServeResponse Response = serveOnce(
+              Server, Pool[MatrixIndex],
+              options(IterationPattern[IterIndex], Execute, Execute));
+          const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
+          if (Response.Selection.KernelIndex != Expected.KernelIndex ||
+              Response.Selection.UsedGatheredModel !=
+                  Expected.UsedGatheredModel ||
+              (Execute && Response.Y != DirectY[MatrixIndex][IterIndex]))
+            Failures[C] = "client " + std::to_string(C) + " request " +
+                          std::to_string(R) + " diverged under churn";
+        }
+      });
+    for (std::thread &T : Clients)
+      T.join();
+    for (const std::string &Failure : Failures)
+      EXPECT_TRUE(Failure.empty()) << Failure;
+
+    const ServerStats Stats = Server.stats();
+    EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
+    EXPECT_EQ(Stats.PinnedMatrices, 0u);
+    EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
+    EXPECT_GT(Stats.Evictions, 0u);
+    EXPECT_GT(Stats.Reanalyses, 0u);
+    if (Execute) {
+      // Every request verified, and oracle sweeps were shed under the
+      // budget before whole entries went.
+      EXPECT_EQ(Stats.OracleChecks, NumClients * RequestsPerClient);
+      EXPECT_GT(Stats.PartialEvictions, 0u);
+    }
+  }
 }
 
 TEST(CacheBudgetTest, UnpinnedConcurrentChurnNeverExceedsBudget) {
